@@ -178,8 +178,8 @@ fn main() {
                         pins.push((cursor, items, i));
                     }
                     barrier.wait(); // B: everyone pinned — writer starts mutating
-                    // Finish the drains *while* the ingest+flush cycle
-                    // runs: the cursor must answer its open-time state.
+                                    // Finish the drains *while* the ingest+flush cycle
+                                    // runs: the cursor must answer its open-time state.
                     for (mut cursor, mut items, i) in pins {
                         while let Some(it) = cursor.try_next().unwrap() {
                             items.push(it);
@@ -379,12 +379,9 @@ fn main() {
         "  \"readers\": {READERS},\n  \"cycles\": {ROUNDS},\n  \"mixed_ops\": {MIXED_OPS},\n"
     ));
     json.push_str(&format!("  \"inconsistent_answers\": {bad},\n"));
-    json.push_str(&format!(
-        "  \"pinned_answers\": {},\n",
-        pinned_answers.load(Ordering::Relaxed)
-    ));
+    json.push_str(&format!("  \"pinned_answers\": {},\n", pinned_answers.load(Ordering::Relaxed)));
     json.push_str(&format!("  \"byte_identity_checkpoints\": {identity_checks},\n"));
-    json.push_str(&format!("  \"identity_mismatches\": 0,\n"));
+    json.push_str("  \"identity_mismatches\": 0,\n");
     json.push_str(&format!(
         "  \"replay_records\": {},\n  \"replay_pending\": {},\n  \"replay_applied\": {},\n  \
          \"replay_exact\": {replay_exact},\n  \"torn_tail\": {},\n",

@@ -351,7 +351,11 @@ fn replay_wal(bytes: &[u8]) -> Result<WalState, StorageError> {
             break;
         }
         if len > MAX_RECORD_LEN {
-            return Err(StorageError::BadLength { page: frame_index + 1, len, max: MAX_RECORD_LEN });
+            return Err(StorageError::BadLength {
+                page: frame_index + 1,
+                len,
+                max: MAX_RECORD_LEN,
+            });
         }
         let payload = &bytes[pos + 8..pos + 8 + len];
         let last_frame = pos + 8 + len == bytes.len();
@@ -423,7 +427,11 @@ impl DeltaWriter {
     /// dying kernel got to flush), `Drop` loses it entirely. Torn and
     /// dropped appends still advance the in-process sequence — the
     /// "process" only discovers the loss when the crash sweep reopens.
-    fn append(&mut self, payload: &[u8], faults: Option<&Arc<FaultPlan>>) -> Result<u64, StorageError> {
+    fn append(
+        &mut self,
+        payload: &[u8],
+        faults: Option<&Arc<FaultPlan>>,
+    ) -> Result<u64, StorageError> {
         let framed = frame(payload);
         let outcome = match faults {
             Some(plan) => plan.on_write().map_err(StorageError::Io)?,
@@ -554,8 +562,10 @@ impl DeltaCube {
         let wal_path = wal_path_for(&path);
         let (cube, rtree) = SignatureCube::open_from_with(&path, opts.pool_pages)?;
         let generation = FileBackend::peek_superblock(&path)?.generation;
-        let head =
-            Box::new(GenNode { handle: BaseHandle { cube, rtree, generation }, next: OnceLock::new() });
+        let head = Box::new(GenNode {
+            handle: BaseHandle { cube, rtree, generation },
+            next: OnceLock::new(),
+        });
 
         // Replay (or create) the WAL.
         let mut state = if wal_path.exists() {
@@ -568,7 +578,12 @@ impl DeltaCube {
             s.report.truncated_bytes = 0;
             s
         };
-        let mut file = OpenOptions::new().read(true).write(true).create(true).open(&wal_path)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&wal_path)?;
         if state.valid_len < WAL_HEADER_LEN as u64 {
             // Fresh (or torn-at-creation) WAL: stamp a clean header.
             file.set_len(0)?;
@@ -1127,9 +1142,8 @@ mod tests {
 
         // Insert the remaining 60 tuples and delete 10 base tuples.
         for tid in 300..360u32 {
-            let sel: Vec<u32> = (0..full.schema().num_selection())
-                .map(|d| full.selection_value(tid, d))
-                .collect();
+            let sel: Vec<u32> =
+                (0..full.schema().num_selection()).map(|d| full.selection_value(tid, d)).collect();
             let got = delta.insert(&sel, &full.ranking_point(tid)).unwrap();
             assert_eq!(got, tid, "tids allocate densely from the base length");
         }
@@ -1174,9 +1188,8 @@ mod tests {
         build_base(&base, &path);
         let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
         for tid in 300..340u32 {
-            let sel: Vec<u32> = (0..full.schema().num_selection())
-                .map(|d| full.selection_value(tid, d))
-                .collect();
+            let sel: Vec<u32> =
+                (0..full.schema().num_selection()).map(|d| full.selection_value(tid, d)).collect();
             delta.insert(&sel, &full.ranking_point(tid)).unwrap();
         }
         delta.delete(5).unwrap();
@@ -1205,9 +1218,8 @@ mod tests {
         build_base(&base, &path);
         let delta = DeltaCube::open(&path, base.clone(), DeltaOptions::default()).unwrap();
         for tid in 300..330u32 {
-            let sel: Vec<u32> = (0..full.schema().num_selection())
-                .map(|d| full.selection_value(tid, d))
-                .collect();
+            let sel: Vec<u32> =
+                (0..full.schema().num_selection()).map(|d| full.selection_value(tid, d)).collect();
             delta.insert(&sel, &full.ranking_point(tid)).unwrap();
         }
         let q = Query::select([]).rank(Linear::uniform(2)).top(6);

@@ -22,18 +22,14 @@
 //! shard cursor's limit, and every frontier resumes exactly where it
 //! stopped.
 //!
-//! # Parallel scatter
+//! # One execution path
 //!
-//! Shard pulls are independent (nothing is shared between shards), so
-//! whenever more than one frontier needs a refill — the initial scatter,
-//! and the refill wave after `extend_k` — the pulls run on scoped worker
-//! threads, up to the configured parallelism. Which answers are pulled
-//! is a pure function of the answer sequence, never of thread timing, so
-//! per-shard I/O counters stay deterministic. [`ShardedCube::par_query`]
-//! additionally offers a fully parallel *batch* path: every shard drains
-//! toward a shared global threshold concurrently (deterministic answers;
-//! I/O there depends on how fast the threshold tightens, so the
-//! deterministic gates use the cursor merge).
+//! A sharded query runs entirely on the calling thread: the merge opens
+//! every shard cursor, then refills consumed frontiers in shard order.
+//! Which pulls happen is a pure function of the consumed-answer
+//! sequence, so per-shard I/O counters are deterministic. Concurrency
+//! comes from running many queries at once on one shared `&ShardedCube`,
+//! not from threads inside one query.
 //!
 //! # Degradation unit: the shard
 //!
@@ -58,7 +54,7 @@ use rcube_table::{Relation, Selection, Tid};
 use crate::gridcube::{GridCubeConfig, GridRankingCube};
 use crate::query::{ProgressiveSearch, QueryPlan, RankedSource, TopKCursor};
 use crate::sigcube::{SignatureCube, SignatureCubeConfig};
-use crate::{QueryStats, TopKResult};
+use crate::QueryStats;
 
 /// Which engine the shards are built with, plus its construction knobs.
 #[derive(Debug, Clone)]
@@ -79,8 +75,8 @@ pub struct ShardedCubeConfig {
     pub engine: ShardEngineConfig,
     /// Per-shard buffer-pool capacity (pages) for file-backed sets.
     pub pool_pages: usize,
-    /// Worker threads for the parallel scatter; `0` = one per hardware
-    /// thread.
+    /// Ignored: a sharded query always runs on the calling thread. Kept
+    /// so existing struct literals still compile.
     pub parallelism: usize,
 }
 
@@ -92,14 +88,6 @@ impl Default for ShardedCubeConfig {
             pool_pages: DEFAULT_POOL_PAGES,
             parallelism: 0,
         }
-    }
-}
-
-fn effective_parallelism(configured: usize) -> usize {
-    if configured > 0 {
-        configured
-    } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     }
 }
 
@@ -283,7 +271,6 @@ pub struct ShardedCube {
     engine_kind: ShardEngineKind,
     manifest_path: Option<PathBuf>,
     pool_pages: usize,
-    parallelism: usize,
     /// Per-shard failure reasons; a `Some` entry takes the whole set out
     /// of routing (`can_answer` → false) until that shard is repaired.
     health: Mutex<Vec<Option<String>>>,
@@ -310,7 +297,6 @@ impl ShardedCube {
             engine_kind: engine_kind_of(&cfg.engine),
             manifest_path: None,
             pool_pages: cfg.pool_pages,
-            parallelism: effective_parallelism(cfg.parallelism),
             health: Mutex::new(vec![None; ranges.len()]),
             instruments: OnceLock::new(),
             last_fanout: Mutex::new(None),
@@ -356,21 +342,19 @@ impl ShardedCube {
         }
         let manifest = ShardManifest { engine: engine_kind_of(&cfg.engine), shards: entries };
         manifest.save_to(manifest_path)?;
-        Self::open_from_with(manifest_path, cfg.pool_pages, cfg.parallelism)
+        Self::open_from_with(manifest_path, cfg.pool_pages)
     }
 
-    /// Reopens a partitioned set from its manifest with default pool and
-    /// parallelism settings.
+    /// Reopens a partitioned set from its manifest with the default
+    /// per-shard pool capacity.
     pub fn open_from(manifest_path: impl AsRef<Path>) -> Result<Self, StorageError> {
-        Self::open_from_with(manifest_path, DEFAULT_POOL_PAGES, 0)
+        Self::open_from_with(manifest_path, DEFAULT_POOL_PAGES)
     }
 
-    /// [`Self::open_from`] with explicit per-shard buffer-pool capacity
-    /// and scatter parallelism (`0` = hardware threads).
+    /// [`Self::open_from`] with explicit per-shard buffer-pool capacity.
     pub fn open_from_with(
         manifest_path: impl AsRef<Path>,
         pool_pages: usize,
-        parallelism: usize,
     ) -> Result<Self, StorageError> {
         let manifest_path = manifest_path.as_ref().to_path_buf();
         let manifest = ShardManifest::open_from(&manifest_path)?;
@@ -392,7 +376,6 @@ impl ShardedCube {
             engine_kind: manifest.engine,
             manifest_path: Some(manifest_path),
             pool_pages,
-            parallelism: effective_parallelism(parallelism),
             health: Mutex::new(vec![None; n]),
             instruments: OnceLock::new(),
             last_fanout: Mutex::new(None),
@@ -506,74 +489,6 @@ impl ShardedCube {
     pub fn last_fanout(&self) -> Option<FanoutReport> {
         self.last_fanout.lock().unwrap().clone()
     }
-
-    /// Fully parallel batch top-k: every shard drains concurrently toward
-    /// a shared global threshold, then the per-shard candidates merge.
-    ///
-    /// Answers are deterministic (identical to the cursor merge); the
-    /// per-shard I/O, unlike the cursor path, depends on how fast the
-    /// shared threshold tightens across threads, so deterministic I/O
-    /// gates belong on [`ShardedCube::source`]. This is the throughput
-    /// path `BENCH_shard.json` measures aggregate qps on.
-    pub fn par_query(&self, plan: &QueryPlan<'_>) -> Result<TopKResult, StorageError> {
-        if !self.failed_shards().is_empty() {
-            return Err(StorageError::Malformed(
-                "sharded cube has a failed shard; repair it before querying",
-            ));
-        }
-        let k = plan.k;
-        let acc = Mutex::new(LexTopK::new(k));
-        let n = self.shards.len();
-        let groups = partition_ranges(n, self.parallelism.min(n).max(1));
-        let mut outcomes: Vec<Result<ShardDrain, (usize, StorageError)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .iter()
-                .map(|&(glo, ghi)| {
-                    let acc = &acc;
-                    scope.spawn(move || {
-                        let mut drains = Vec::with_capacity(ghi - glo);
-                        for i in glo..ghi {
-                            match drain_shard_bounded(&self.shards[i], plan, k, acc) {
-                                Ok(d) => drains.push(Ok(d)),
-                                Err(e) => {
-                                    drains.push(Err((i, e)));
-                                    break;
-                                }
-                            }
-                        }
-                        drains
-                    })
-                })
-                .collect();
-            for h in handles {
-                outcomes.extend(h.join().expect("shard drain worker panicked"));
-            }
-        });
-        let mut stats = QueryStats::default();
-        let mut first_err = None;
-        for outcome in outcomes {
-            match outcome {
-                Ok(d) => {
-                    merge_stats(&mut stats, &d.stats);
-                    if d.pruned {
-                        stats.shards_pruned += 1;
-                    }
-                }
-                Err((shard, e)) => {
-                    self.mark_failed(shard, e.to_string());
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        stats.shards_opened = n as u64;
-        Ok(TopKResult { items: acc.into_inner().unwrap().into_sorted(), stats })
-    }
 }
 
 fn engine_kind_of(cfg: &ShardEngineConfig) -> ShardEngineKind {
@@ -632,95 +547,6 @@ fn merge_stats(acc: &mut QueryStats, s: &QueryStats) {
     acc.backoff_ns += s.backoff_ns;
 }
 
-/// Bounded best-k accumulator ordered lexicographically by
-/// `(score, tid)`, so eviction under score ties is deterministic
-/// regardless of arrival order across threads.
-struct LexTopK {
-    k: usize,
-    heap: std::collections::BinaryHeap<LexScored>,
-}
-
-#[derive(PartialEq)]
-struct LexScored(f64, Tid);
-
-impl Eq for LexScored {}
-
-impl Ord for LexScored {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
-}
-
-impl PartialOrd for LexScored {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl LexTopK {
-    fn new(k: usize) -> Self {
-        Self { k, heap: std::collections::BinaryHeap::with_capacity(k + 1) }
-    }
-
-    fn offer(&mut self, tid: Tid, score: f64) {
-        if self.k == 0 {
-            return;
-        }
-        if self.heap.len() < self.k {
-            self.heap.push(LexScored(score, tid));
-        } else {
-            let worst = self.heap.peek().unwrap();
-            if LexScored(score, tid) < *worst {
-                self.heap.pop();
-                self.heap.push(LexScored(score, tid));
-            }
-        }
-    }
-
-    /// Whether a future answer scoring `score` (or worse) could still
-    /// enter the set — the shared threshold shards drain against.
-    fn admits(&self, score: f64) -> bool {
-        self.heap.len() < self.k || self.heap.peek().is_some_and(|w| score <= w.0)
-    }
-
-    fn into_sorted(self) -> Vec<(Tid, f64)> {
-        let mut v: Vec<(Tid, f64)> = self.heap.into_iter().map(|s| (s.1, s.0)).collect();
-        v.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        v
-    }
-}
-
-struct ShardDrain {
-    stats: QueryStats,
-    pruned: bool,
-}
-
-/// Drains one shard toward the shared accumulator, stopping as soon as
-/// the shard's certified next score can no longer enter the global set.
-fn drain_shard_bounded(
-    shard: &Shard,
-    plan: &QueryPlan<'_>,
-    k: usize,
-    acc: &Mutex<LexTopK>,
-) -> Result<ShardDrain, StorageError> {
-    let mut local = *plan;
-    local.k = k;
-    let mut cursor = shard.open(&local)?;
-    let base = shard.tid_lo as Tid;
-    let mut pruned = false;
-    while let Some((tid, score)) = cursor.try_next()? {
-        let mut acc = acc.lock().unwrap();
-        acc.offer(tid + base, score);
-        // The shard certifies all its future scores are ≥ this one, so a
-        // rejection threshold reached here holds for the whole remainder.
-        if !acc.admits(score) {
-            pruned = true;
-            break;
-        }
-    }
-    Ok(ShardDrain { stats: cursor.stats(), pruned })
-}
-
 /// The shard set as one [`RankedSource`]: opens a scatter-gather cursor
 /// whose answers are byte-identical to an unsharded cube over the same
 /// relation.
@@ -751,13 +577,11 @@ impl<'a> RankedSource<'a> for ShardedSource<'a> {
                 answers: 0,
             })
             .collect();
-        // Eager scatter of the opens: per-shard plan setup (covering
-        // cuboids, signature pruners) runs concurrently, and a failed
-        // shard surfaces here — inside the engine's retry/fallback
-        // ladder — rather than on the first pull.
-        let open_result =
-            parallel_over(&mut frontiers, cube.parallelism, |f| open_frontier(cube, f, *plan));
-        if let Err((shard, e)) = open_result {
+        // Every shard cursor opens eagerly, so a failed shard surfaces
+        // here — inside the engine's retry/fallback ladder — rather than
+        // on the first pull.
+        if let Err((shard, e)) = for_each_pending(&mut frontiers, |f| open_frontier(cube, f, *plan))
+        {
             cube.mark_failed(shard, e.to_string());
             return Err(e);
         }
@@ -788,58 +612,16 @@ struct Frontier<'a> {
     answers: u64,
 }
 
-/// Runs `op` once per frontier, on scoped worker threads when more than
-/// one frontier needs work. Returns the first `(shard, error)`.
-fn parallel_over<'a, F>(
+/// Runs `op` on every frontier that needs a pull, in shard order.
+/// Returns the first `(shard, error)`.
+fn for_each_pending<'a>(
     frontiers: &mut [Frontier<'a>],
-    parallelism: usize,
-    op: F,
-) -> Result<(), (usize, StorageError)>
-where
-    F: Fn(&mut Frontier<'a>) -> Result<(), StorageError> + Sync,
-{
-    let mut pending: Vec<&mut Frontier<'a>> =
-        frontiers.iter_mut().filter(|f| f.state == FState::NeedsPull).collect();
-    if pending.is_empty() {
-        return Ok(());
+    mut op: impl FnMut(&mut Frontier<'a>) -> Result<(), StorageError>,
+) -> Result<(), (usize, StorageError)> {
+    for f in frontiers.iter_mut().filter(|f| f.state == FState::NeedsPull) {
+        op(f).map_err(|e| (f.shard, e))?;
     }
-    if pending.len() == 1 || parallelism <= 1 {
-        for f in pending {
-            let shard = f.shard;
-            op(f).map_err(|e| (shard, e))?;
-        }
-        return Ok(());
-    }
-    let chunk = pending.len().div_ceil(parallelism);
-    let mut first_err = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pending
-            .chunks_mut(chunk)
-            .map(|group| {
-                let op = &op;
-                scope.spawn(move || {
-                    for f in group {
-                        let shard = f.shard;
-                        if let Err(e) = op(f) {
-                            return Err((shard, e));
-                        }
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        for h in handles {
-            if let Err(err) = h.join().expect("shard pull worker panicked") {
-                if first_err.is_none() {
-                    first_err = Some(err);
-                }
-            }
-        }
-    });
-    match first_err {
-        Some(err) => Err(err),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 fn open_frontier<'a>(
@@ -894,17 +676,18 @@ struct ShardedSearch<'a> {
 }
 
 impl ShardedSearch<'_> {
-    /// Refills every consumed frontier — in parallel when the scatter is
-    /// wider than one shard. Which pulls happen is a pure function of
-    /// the consumed-answer sequence, so per-shard I/O is deterministic.
+    /// Refills every consumed frontier. Which pulls happen is a pure
+    /// function of the consumed-answer sequence, so per-shard I/O is
+    /// deterministic.
     fn fill(&mut self) -> Result<(), StorageError> {
         let target = self.target;
         let cube = self.cube;
-        parallel_over(&mut self.frontiers, cube.parallelism, |f| pull_frontier(cube, f, target))
-            .map_err(|(shard, e)| {
+        for_each_pending(&mut self.frontiers, |f| pull_frontier(cube, f, target)).map_err(
+            |(shard, e)| {
                 cube.mark_failed(shard, e.to_string());
                 e
-            })
+            },
+        )
     }
 
     fn fanout_report(&self) -> FanoutReport {
@@ -1033,17 +816,6 @@ mod tests {
                 assert_eq!(got.stats.shards_opened, shards as u64);
             }
         }
-    }
-
-    #[test]
-    fn par_query_matches_cursor_merge() {
-        let rel = rel();
-        let cfg = ShardedCubeConfig { shards: 3, parallelism: 2, ..Default::default() };
-        let cube = ShardedCube::build_in_memory(&rel, &cfg);
-        let query = Query::select([(1, 5)]).rank(Linear::uniform(2)).top(12);
-        let merged = cube.source().query(&query.plan()).unwrap();
-        let parallel = cube.par_query(&query.plan()).unwrap();
-        assert_eq!(parallel.items, merged.items);
     }
 
     #[test]

@@ -28,18 +28,21 @@
 //!
 //! Readers gate on the version field exactly like cube files do: an
 //! unknown version is [`StorageError::UnsupportedVersion`], never a
-//! guess at the layout. [`ShardManifest::save_to`] publishes through a
-//! sibling temp file + fsync + atomic rename, so a crash mid-write
-//! leaves either the old manifest or the new one — election at open is
+//! guess at the layout. [`ShardManifest::save_to`] publishes through
+//! [`FileBackend::publish_swap`] (sibling temp file, fsync, atomic
+//! rename, fsync of the parent directory), so a crash mid-write leaves
+//! either the old manifest or the new one — election at open is
 //! therefore trivial (there is only ever one candidate), with the CRC
 //! rejecting torn or bit-flipped content as a typed
 //! [`StorageError::ChecksumMismatch`]. Per-shard durability remains the
 //! cube files' own double-buffered superblock election.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::backend::StorageError;
+use crate::fault::FaultPlan;
+use crate::file::FileBackend;
 use crate::format::{crc32, ByteReader, ByteWriter};
 
 /// Manifest file magic.
@@ -180,18 +183,23 @@ impl ShardManifest {
         Ok(())
     }
 
-    /// Writes the manifest at `path` via temp file + fsync + atomic
-    /// rename, so readers only ever see a complete manifest.
+    /// Writes the manifest at `path` through a sibling temp file and
+    /// [`FileBackend::publish_swap`], so readers only ever see a complete
+    /// manifest and the rename is durable once this returns.
     pub fn save_to(&self, path: &Path) -> Result<(), StorageError> {
+        self.save_faulted(path, None)
+    }
+
+    /// [`Self::save_to`] with scripted swap-stage crashes.
+    pub(crate) fn save_faulted(
+        &self,
+        path: &Path,
+        faults: Option<&Arc<FaultPlan>>,
+    ) -> Result<(), StorageError> {
         self.validate()?;
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let bytes = self.encode();
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        std::fs::write(&tmp, self.encode())?;
+        FileBackend::publish_swap(&tmp, path, faults)
     }
 
     /// Reads and validates the manifest at `path`.
@@ -277,6 +285,31 @@ mod tests {
         m2.shards[1].file = "cars.shard1b".into();
         m2.save_to(&path).unwrap();
         assert_eq!(ShardManifest::open_from(&path).unwrap(), m2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn crash_mid_publish_keeps_old_manifest() {
+        use crate::fault::SwapStage;
+        let dir = std::env::temp_dir().join(format!("rcsm_crash_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("set.manifest");
+        let old = sample();
+        old.save_to(&path).unwrap();
+        let old_bytes = std::fs::read(&path).unwrap();
+        let mut new = old.clone();
+        new.shards[1].file = "cars.shard1b".into();
+        for stage in [SwapStage::TempSync, SwapStage::Rename] {
+            let plan = FaultPlan::new();
+            plan.crash_at_swap(stage);
+            assert!(new.save_faulted(&path, Some(&plan)).is_err(), "{stage:?} did not crash");
+            assert!(plan.crashed());
+            assert_eq!(std::fs::read(&path).unwrap(), old_bytes, "{stage:?} changed the file");
+            assert_eq!(ShardManifest::open_from(&path).unwrap(), old);
+        }
+        // A clean re-save after the crashes publishes the new manifest.
+        new.save_to(&path).unwrap();
+        assert_eq!(ShardManifest::open_from(&path).unwrap(), new);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

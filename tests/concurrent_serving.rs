@@ -3,7 +3,9 @@
 //! the sharded buffer pool and the shared cross-query node cache — must
 //! produce answers *byte-identical* to a serial run, and the shared node
 //! cache must never change an answer (only how much decode work repeat
-//! queries pay).
+//! queries pay). The same holds for a file-backed shard set served to
+//! many client threads through one shared `&Engine`: a sharded query runs
+//! on its calling thread, so concurrency is many queries at once.
 //!
 //! Run under `cargo test --release` in CI so the race-prone path is
 //! exercised with optimizations (and without the debug-build timing that
@@ -11,6 +13,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ranking_cube::cube::query::Query;
+use ranking_cube::cube::shard::{ShardEngineConfig, ShardedCube, ShardedCubeConfig};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
 use ranking_cube::cube::sigquery::topk_signature;
 use ranking_cube::cube::{GridCubeConfig, GridRankingCube, TopKQuery};
@@ -18,7 +22,9 @@ use ranking_cube::func::Linear;
 use ranking_cube::index::rtree::{RTree, RTreeConfig};
 use ranking_cube::storage::DiskSim;
 use ranking_cube::table::gen::SyntheticSpec;
+use ranking_cube::table::workload::{WorkloadParams, ZipfQueryGen};
 use ranking_cube::table::Relation;
+use ranking_cube::{Engine, Route};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -204,6 +210,83 @@ fn shared_cache_on_equals_off_concurrently() {
     assert!(on.node_cache().stats().hits > 0, "cache-on cube must register shared hits");
     assert_eq!(off.node_cache().stats().hits, 0, "disabled cache must never hit");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn shared_engine_serves_sharded_set_across_threads() {
+    // 4 client threads query one `&Engine` over a file-backed 4-shard
+    // set with a Zipf-skewed mix: every answer matches the serial run
+    // byte for byte, and the per-shard answer counters add up exactly.
+    let rel =
+        SyntheticSpec { tuples: 6_000, cardinality: 6, ranking_dims: 2, ..Default::default() }
+            .generate();
+    let dir = temp_path("sharded");
+    std::fs::create_dir_all(&dir).expect("create shard dir");
+    let cfg = ShardedCubeConfig {
+        shards: 4,
+        engine: ShardEngineConfig::Grid(GridCubeConfig { block_size: 100, ..Default::default() }),
+        pool_pages: 16,
+        ..Default::default()
+    };
+    let cube = ShardedCube::build_to(&rel, dir.join("set.manifest"), &cfg).expect("build set");
+    let eng = Engine::new(rel.clone()).with_prebuilt_sharded(cube);
+
+    let params =
+        WorkloadParams { num_conditions: 2, num_ranking: 2, k: 10, skewness: 3.0, seed: 9 };
+    let queries: Vec<Query> = ZipfQueryGen::new(params, 1.1)
+        .batch(&rel, 24)
+        .iter()
+        .map(|spec| {
+            Query::select(spec.selection.conds().to_vec())
+                .rank_on(spec.ranking_dims.clone(), Linear::new(spec.weights.clone()))
+                .top(spec.k)
+        })
+        .collect();
+    for q in &queries {
+        assert_eq!(eng.route(q), Route::Sharded, "every query must take the sharded route");
+    }
+    // Returns the rendered answers and the number of answer items.
+    let run = || -> (Vec<String>, u64) {
+        let mut items = 0u64;
+        let out = queries
+            .iter()
+            .map(|q| {
+                let res = eng.try_query(q).expect("sharded query");
+                items += res.items.len() as u64;
+                render(&res.items)
+            })
+            .collect();
+        (out, items)
+    };
+    let (expect, serial_items) = run();
+    assert!(serial_items > 0, "the mix must produce answers");
+
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 3;
+    let concurrent_items: u64 = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (run, expect) = (&run, &expect);
+                s.spawn(move || {
+                    let mut items = 0;
+                    for round in 0..ROUNDS {
+                        let (got, n) = run();
+                        assert_eq!(&got, expect, "thread {t} round {round}: diverged from serial");
+                        items += n;
+                    }
+                    items
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("client thread panicked")).sum()
+    });
+
+    let snap = eng.metrics().snapshot();
+    let counted: u64 = (0..4)
+        .map(|i| snap.counter(&format!("sharded.shard{i}.answers")).expect("shard counter"))
+        .sum();
+    assert_eq!(counted, serial_items + concurrent_items, "per-shard answer counters are exact");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest::proptest! {
