@@ -16,7 +16,8 @@
 //!   counts (pending == appends since the last flush, applied == live
 //!   delta tuples, no torn tail) and answers identically to the
 //!   pre-shutdown state; the obs instruments saw every append and
-//!   every flush.
+//!   every flush; every flush rewrites at most as many cell signatures
+//!   as the cube materializes (each affected cell once per flush).
 //! * **Clock (reported, never load-bearing):** ingest ops/sec during
 //!   the cycles and mixed read/write ops/sec from the Zipf-skewed
 //!   `MixedWorkloadGen` stream.
@@ -25,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, RwLock};
 use std::time::Instant;
 
-use ranking_cube::cube::delta::{wal_path_for, DeltaCube, DeltaOptions};
+use ranking_cube::cube::delta::{wal_path_for, DeltaCube, DeltaOptions, FlushReport};
 use ranking_cube::cube::query::{Query, RankedSource};
 use ranking_cube::cube::sigcube::{SignatureCube, SignatureCubeConfig};
 use ranking_cube::func::Linear;
@@ -105,6 +106,34 @@ fn sel_of(rel: &Relation, tid: Tid) -> Vec<u32> {
     (0..rel.schema().num_selection()).map(|d| rel.selection_value(tid, d)).collect()
 }
 
+/// What one flush cost: wall time, and the cell signatures rewritten and
+/// pages appended by its signature maintenance.
+struct FlushCost {
+    us: u64,
+    cells: u64,
+    pages: u64,
+}
+
+/// Flushes `delta`, logging the cost from the `maintenance.*` counters
+/// the flush's writable cube reports into `metrics`.
+fn costed_flush(
+    delta: &DeltaCube,
+    metrics: &Metrics,
+    label: &str,
+    log: &mut Vec<FlushCost>,
+) -> FlushReport {
+    let cells = metrics.counter("maintenance.cells_replaced");
+    let pages = metrics.counter("maintenance.pages_appended");
+    let (cells_before, pages_before) = (cells.get(), pages.get());
+    let report = delta.flush().expect(label);
+    log.push(FlushCost {
+        us: report.duration.as_micros() as u64,
+        cells: cells.get() - cells_before,
+        pages: pages.get() - pages_before,
+    });
+    report
+}
+
 fn query_of(spec: &QuerySpec) -> Query {
     Query::select(spec.selection.conds().to_vec())
         .rank_on(spec.ranking_dims.clone(), Linear::new(spec.weights.clone()))
@@ -117,12 +146,18 @@ fn main() {
         SyntheticSpec { tuples: TOTAL, cardinality: CARDINALITY, ..Default::default() }.generate();
     let base_rel = full.prefix(BASE);
     let path = temp_path("live");
-    {
+    let materialized_cells = {
         let disk = DiskSim::with_defaults();
         let rtree = RTree::over_relation(&disk, &base_rel, &[], RTreeConfig::small(16));
         let cube = SignatureCube::build(&base_rel, &rtree, &disk, SignatureCubeConfig::default());
         cube.save_to_with(&rtree, &path, PAGE, POOL).expect("save base cube");
-    }
+        cube.cuboid_dims()
+            .iter()
+            .map(|dims| {
+                (0..CARDINALITY).filter(|&v| cube.cell_signature(dims, &[v]).is_some()).count()
+            })
+            .sum::<usize>() as u64
+    };
     let metrics = Metrics::new();
     let delta = DeltaCube::open(
         &path,
@@ -133,7 +168,7 @@ fn main() {
 
     let mut appends_total = 0u64;
     let mut identity_checks = 0u64;
-    let mut flush_us: Vec<u64> = Vec::new();
+    let mut flush_costs: Vec<FlushCost> = Vec::new();
     let expected: RwLock<Vec<String>> = RwLock::new(Vec::new());
     let barrier = Barrier::new(READERS + 1);
     let inconsistent = AtomicU64::new(0);
@@ -210,17 +245,15 @@ fn main() {
                     assert_eq!(got, tid, "dense tid allocation");
                     appends_total += 1;
                 }
-                let report = delta.flush().expect("cycle flush");
+                let report = costed_flush(&delta, &metrics, "cycle flush", &mut flush_costs);
                 assert_eq!(report.applied_ops, STEP);
-                flush_us.push(report.duration.as_micros() as u64);
             } else {
                 for &tid in &DELETED {
                     delta.delete(tid).unwrap();
                     appends_total += 1;
                 }
-                let report = delta.flush().expect("delete-round flush");
+                let report = costed_flush(&delta, &metrics, "delete-round flush", &mut flush_costs);
                 assert_eq!(report.applied_ops, DELETED.len());
-                flush_us.push(report.duration.as_micros() as u64);
             }
             ingest_secs += t.elapsed().as_secs_f64();
             barrier.wait(); // C
@@ -292,8 +325,7 @@ fn main() {
         mixed_done += 1;
     }
     let mixed_ops_per_sec = mixed_done as f64 / t.elapsed().as_secs_f64();
-    let report = delta.flush().expect("post-mixed flush");
-    flush_us.push(report.duration.as_micros() as u64);
+    costed_flush(&delta, &metrics, "post-mixed flush", &mut flush_costs);
 
     // Mixed checkpoint: rebuild the logical relation (base minus deleted
     // base tuples, plus the surviving mixed inserts) and re-check the
@@ -359,13 +391,24 @@ fn main() {
     // --- Hard deterministic gates ---------------------------------------
     assert_eq!(bad, 0, "a pinned reader observed an answer from a foreign state mid-cycle");
     assert_eq!(identity_checks, ROUNDS as u64 + 2);
+    let max_cells = flush_costs.iter().map(|f| f.cells).max().unwrap_or(0);
+    assert!(
+        max_cells <= materialized_cells,
+        "a flush rewrote {max_cells} cell signatures; the cube materializes {materialized_cells}"
+    );
 
-    let mean_flush_us = flush_us.iter().sum::<u64>() as f64 / flush_us.len().max(1) as f64;
+    let mean = |f: fn(&FlushCost) -> u64| {
+        flush_costs.iter().map(f).sum::<u64>() as f64 / flush_costs.len().max(1) as f64
+    };
+    let mean_flush_us = mean(|f| f.us);
+    let cells_per_flush = mean(|f| f.cells);
+    let pages_per_flush = mean(|f| f.pages);
     println!(
         "delta: {READERS} pinned readers, {ROUNDS} ingest→flush→swap rounds, {bad} inconsistent \
          of {} pinned answers; {identity_checks} byte-identity checkpoints; ingest \
          {ingest_ops_per_sec:.0} ops/s, mixed {mixed_ops_per_sec:.0} ops/s ({mixed_answers} \
-         answers), mean flush {mean_flush_us:.0}us; replay {}+{} records exact",
+         answers), mean flush {mean_flush_us:.0}us ({cells_per_flush:.1} cells, \
+         {pages_per_flush:.1} pages); replay {}+{} records exact",
         pinned_answers.load(Ordering::Relaxed),
         replay.pending,
         replay.applied,
@@ -389,6 +432,11 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"appends_total\": {appends_total},\n  \"flushes\": {flushes_done},\n"
+    ));
+    json.push_str(&format!(
+        "  \"materialized_cells\": {materialized_cells},\n  \"cells_rewritten_per_flush\": \
+         {cells_per_flush:.1},\n  \"cells_rewritten_max_flush\": {max_cells},\n  \
+         \"pages_appended_per_flush\": {pages_per_flush:.1},\n"
     ));
     json.push_str(&format!(
         "  \"ingest_ops_per_sec\": {ingest_ops_per_sec:.1},\n  \"mixed_ops_per_sec\": \

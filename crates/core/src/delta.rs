@@ -18,9 +18,11 @@
 //!   answer. Every append and flush boundary is crash-scriptable through
 //!   the same [`rcube_storage::fault`] machinery the vacuum sweep uses.
 //! * **Flush/merge** — [`DeltaCube::flush`] folds the memtable into the
-//!   base cube through the existing incremental-maintenance path
-//!   (R-tree insert/delete → [`crate::maintain::apply_path_updates`] →
-//!   COW `replace_cell` + crash-atomic `commit`), then compacts the WAL
+//!   base cube through the existing incremental-maintenance path: every
+//!   op's R-tree insert/delete chain is gathered into one batch and
+//!   applied by a single [`crate::maintain::apply_path_updates`] call per
+//!   flush (each affected cell rewritten once by COW `replace_cell`),
+//!   then a crash-atomic `commit`. The flush then compacts the WAL
 //!   via the same fsync + atomic-rename publish protocol the vacuum
 //!   uses ([`rcube_storage::FileBackend::publish_swap`]), all under the
 //!   cube file's advisory writer lock. Readers are never blocked: they
@@ -837,34 +839,34 @@ impl DeltaCube {
         };
         let (mut cube, mut rtree) = SignatureCube::open_store(store)?;
         cube.set_metrics(self.metrics.clone());
+        // Every op's R-tree chain goes into one batch: `apply_path_updates`
+        // collapses each tid to its net path change, so each affected cell
+        // is rewritten once per flush rather than once per op.
+        let mut updates = Vec::new();
         let mut applied_ops = 0usize;
         for (&tid, op) in &snapshot {
-            let updates = match op {
+            let before = updates.len();
+            match op {
                 MemOp::Upsert { point, .. } => {
                     // Replayed ops may already be in the base (a crash
                     // between commit and WAL rewrite): delete-then-insert
                     // makes the re-apply idempotent.
-                    let mut u = if rtree.tuple_path(tid).is_some() {
-                        rtree.delete(&self.disk, tid)
-                    } else {
-                        Vec::new()
-                    };
-                    u.extend(rtree.insert(&self.disk, tid, point.clone()));
-                    u
+                    if rtree.tuple_path(tid).is_some() {
+                        updates.extend(rtree.delete(&self.disk, tid));
+                    }
+                    updates.extend(rtree.insert(&self.disk, tid, point.clone()));
                 }
-                MemOp::Delete => rtree.delete(&self.disk, tid),
-            };
-            if updates.is_empty() {
-                continue; // delete of an already-absent tuple
+                MemOp::Delete => updates.extend(rtree.delete(&self.disk, tid)),
             }
-            apply_path_updates(
-                &mut cube,
-                &updates,
-                |t| self.selection_values_for(t, &snapshot, &w.applied),
-                &self.disk,
-            );
-            applied_ops += 1;
+            // A delete of an already-absent tuple yields no updates.
+            applied_ops += usize::from(updates.len() > before);
         }
+        apply_path_updates(
+            &mut cube,
+            &updates,
+            |t| self.selection_values_for(t, &snapshot, &w.applied),
+            &self.disk,
+        );
         let generation = cube.commit(&rtree)?;
         if self.faults.as_ref().is_some_and(|p| p.crashed()) {
             // The scripted page-level crash hit during the fold: the
@@ -1207,6 +1209,85 @@ mod tests {
         // All answers now come from the base, none from the overlay.
         assert_eq!(after.stats.delta_mem_answers, 0);
         assert!(after.stats.delta_base_answers > 0);
+        cleanup(&path);
+    }
+
+    /// One flush of a large mixed memtable rewrites each materialized
+    /// cell at most once, and the flushed base answers exactly what a
+    /// cube rebuilt over the logical relation answers.
+    #[test]
+    fn one_flush_rewrites_each_cell_at_most_once() {
+        let full = SyntheticSpec { tuples: 400, cardinality: 4, ..Default::default() }.generate();
+        let base = full.prefix(300);
+        let path = temp_path("fold");
+        build_base(&base, &path);
+        let metrics = Metrics::new();
+        let options = DeltaOptions { metrics: metrics.clone(), ..Default::default() };
+        let delta = DeltaCube::open(&path, base.clone(), options).unwrap();
+        let sel_of = |t: Tid| -> Vec<u32> {
+            (0..full.schema().num_selection()).map(|d| full.selection_value(t, d)).collect()
+        };
+
+        // 100 inserts interleaved with 20 base deletes and 5 deletes of
+        // tuples inserted earlier in the same memtable.
+        let mut deleted: Vec<Tid> = Vec::new();
+        for tid in 300..400u32 {
+            delta.insert(&sel_of(tid), &full.ranking_point(tid)).unwrap();
+            if tid % 5 == 4 {
+                let victim = (tid - 300) * 3;
+                delta.delete(victim).unwrap();
+                deleted.push(victim);
+            }
+            if tid % 20 == 10 {
+                delta.delete(tid - 1).unwrap();
+                deleted.push(tid - 1);
+            }
+        }
+        assert_eq!(delta.memtable_len(), 120);
+
+        let replaced = metrics.counter("maintenance.cells_replaced");
+        let before = replaced.get();
+        let report = delta.flush().unwrap();
+        // Deletes of tuples that never reached the base apply nothing.
+        assert_eq!(report.applied_ops, 115);
+        let rewritten = replaced.get() - before;
+
+        // The logical relation, with each rebuilt tid mapped back to the
+        // delta's tid (the mapping is monotone, so tie order survives).
+        let mut b = rcube_table::RelationBuilder::new(full.schema().clone());
+        let mut orig: Vec<Tid> = Vec::new();
+        for t in (0..400u32).filter(|t| !deleted.contains(t)) {
+            b.push(&sel_of(t), &full.ranking_point(t));
+            orig.push(t);
+        }
+        let logical = b.finish();
+        let disk = DiskSim::with_defaults();
+        let rtree = RTree::over_relation(&disk, &logical, &[], RTreeConfig::small(16));
+        let rebuilt = SignatureCube::build(&logical, &rtree, &disk, SignatureCubeConfig::default());
+        let materialized: usize = rebuilt
+            .cuboid_dims()
+            .iter()
+            .map(|dims| (0..4).filter(|&v| rebuilt.cell_signature(dims, &[v]).is_some()).count())
+            .sum();
+        assert!(rewritten > 0);
+        assert!(
+            rewritten as usize <= materialized,
+            "one flush rewrote {rewritten} cells; only {materialized} are materialized"
+        );
+
+        for q in [
+            Query::select([]).rank(Linear::uniform(2)).top(400),
+            Query::select([(0, 1)]).rank(Linear::uniform(2)).top(25),
+            Query::select([(1, 3), (2, 0)]).rank(Linear::uniform(2)).top(10),
+        ] {
+            let merged = delta.source().open(&q.plan()).unwrap().try_drain().unwrap();
+            assert_eq!(merged.stats.delta_mem_answers, 0, "every answer comes from the base");
+            let want: Vec<(Tid, f64)> = rebuilt_answers(&logical, &q)
+                .into_iter()
+                .map(|(t, s)| (orig[t as usize], s))
+                .collect();
+            assert_eq!(render(&merged.items), render(&want), "flushed base != rebuilt cube");
+        }
         cleanup(&path);
     }
 

@@ -60,7 +60,7 @@ use std::sync::Arc;
 
 use rcube_index::rtree::RTree;
 use rcube_index::HierIndex;
-use rcube_obs::Metrics;
+use rcube_obs::{Counter, Gauge, Metrics};
 use rcube_storage::{
     BitReader, BitWriter, ByteReader, ByteWriter, DiskSim, FileBackend, FileOptions, PackedBits,
     PageId, PageStore, StorageError, DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES,
@@ -724,10 +724,35 @@ pub struct SignatureCube {
     /// Shared cross-query decoded-node cache (see the module docs);
     /// cleared whenever a cell signature is replaced.
     node_cache: SharedNodeCache,
-    /// Registry receiving maintenance events (commit / patch / vacuum).
-    /// Defaults to the process-wide registry; [`Self::set_metrics`]
-    /// points it at an engine's own.
-    metrics: Metrics,
+    /// Maintenance instruments (commit / patch / vacuum), resolved from
+    /// the process-wide registry by default; [`Self::set_metrics`]
+    /// re-resolves them against an engine's own.
+    maintenance: MaintenanceMetrics,
+}
+
+/// `maintenance.*` handles, resolved by name once per registry so the
+/// per-cell write-back path never looks a counter up.
+#[derive(Debug)]
+struct MaintenanceMetrics {
+    commits: Counter,
+    generation: Gauge,
+    cells_replaced: Counter,
+    pages_appended: Counter,
+    vacuums: Counter,
+    pages_reclaimed: Counter,
+}
+
+impl MaintenanceMetrics {
+    fn resolve(metrics: &Metrics) -> Self {
+        Self {
+            commits: metrics.counter("maintenance.commits"),
+            generation: metrics.gauge("maintenance.generation"),
+            cells_replaced: metrics.counter("maintenance.cells_replaced"),
+            pages_appended: metrics.counter("maintenance.pages_appended"),
+            vacuums: metrics.counter("maintenance.vacuums"),
+            pages_reclaimed: metrics.counter("maintenance.pages_reclaimed"),
+        }
+    }
 }
 
 impl SignatureCube {
@@ -782,7 +807,7 @@ impl SignatureCube {
             m,
             alpha: config.alpha,
             node_cache: SharedNodeCache::with_default_budget(),
-            metrics: Metrics::global().clone(),
+            maintenance: MaintenanceMetrics::resolve(Metrics::global()),
         }
     }
 
@@ -819,15 +844,16 @@ impl SignatureCube {
     }
 
     /// Routes this cube's maintenance events (`maintenance.commits`,
-    /// `.pages_appended`, `.pages_reclaimed`, generation gauge) into
-    /// `metrics` instead of the process-wide default, and attaches the
-    /// backing store's buffer pool and the shared node cache under the
-    /// `signature` prefix. Call before serving (handle attachment is
-    /// once-only for the store/cache lifetime).
+    /// `.cells_replaced`, `.pages_appended`, `.vacuums`,
+    /// `.pages_reclaimed`, generation gauge) into `metrics` instead of
+    /// the process-wide default, and attaches the backing store's buffer
+    /// pool and the shared node cache under the `signature` prefix. Call
+    /// before serving (handle attachment is once-only for the store/cache
+    /// lifetime).
     pub fn set_metrics(&mut self, metrics: Metrics) {
         self.store.attach_metrics(&metrics, "signature");
         self.node_cache.attach_metrics(&metrics, "signature");
-        self.metrics = metrics;
+        self.maintenance = MaintenanceMetrics::resolve(&metrics);
     }
 
     /// Replaces the shared node cache with one bounded by `bytes`
@@ -1107,8 +1133,8 @@ impl SignatureCube {
         self.store.put_catalog(&scratch, w.into_bytes())?;
         self.store.flush()?;
         let generation = self.store.generation().unwrap_or(0);
-        self.metrics.counter("maintenance.commits").inc();
-        self.metrics.gauge("maintenance.generation").set(generation);
+        self.maintenance.commits.inc();
+        self.maintenance.generation.set(generation);
         Ok(generation)
     }
 
@@ -1139,8 +1165,8 @@ impl SignatureCube {
     ) -> Result<u64, StorageError> {
         self.save_to_opts(rtree, path, page_size, opts)?;
         let reclaimed = self.store.reclaimable_pages();
-        self.metrics.counter("maintenance.vacuums").inc();
-        self.metrics.counter("maintenance.pages_reclaimed").add(reclaimed);
+        self.maintenance.vacuums.inc();
+        self.maintenance.pages_reclaimed.add(reclaimed);
         Ok(reclaimed)
     }
 
@@ -1231,7 +1257,7 @@ impl SignatureCube {
             m,
             alpha,
             node_cache: SharedNodeCache::with_default_budget(),
-            metrics: Metrics::global().clone(),
+            maintenance: MaintenanceMetrics::resolve(Metrics::global()),
         };
         Ok((cube, rtree))
     }
@@ -1256,10 +1282,10 @@ impl SignatureCube {
                 .iter()
                 .map(|&p| self.store.size_of(p).map_or(1, |len| disk.pages_for(len) as u64))
                 .sum();
-            self.metrics.counter("maintenance.pages_appended").add(appended);
+            self.maintenance.pages_appended.add(appended);
             cells.insert(vals, stored)
         };
-        self.metrics.counter("maintenance.cells_replaced").inc();
+        self.maintenance.cells_replaced.inc();
         // COW retirement: the replaced cell's partials leave the *next*
         // generation (readers pinned on committed ones keep streaming
         // their bytes), and only *their* node-cache entries are dropped —
