@@ -3,24 +3,23 @@
 //! positional-read file backend, the sharded buffer pool and the shared
 //! cross-query node cache.
 //!
-//! The run writes `BENCH_concurrency.json` at the workspace root with two
-//! gate families:
+//! The run writes `BENCH_concurrency.json` at the workspace root in the
+//! schema documented on [`rcube_bench::Report`]. Gates:
 //!
-//! * **Throughput scaling** (wall-clock): aggregate queries/sec at 1, 2,
-//!   4 and 8 threads. The 4-thread gate (≥ 2.5× single-thread) is
-//!   enforced hard only when the machine actually has ≥ 4 hardware
-//!   threads and `RCUBE_BENCH_SOFT` is unset — on a 1-core container or a
-//!   noisy CI runner it downgrades to a warning, like every other
-//!   wall-clock gate in this repo. The JSON records the hardware so the
-//!   number is interpretable.
-//! * **Deterministic decode counters** (always hard): a repeated
-//!   signature workload with the shared node cache must decode *strictly
-//!   fewer* nodes than the same workload limited to PR 3's per-query
-//!   memo, with byte-identical answers and `shared_node_hits > 0`.
+//! * **Deterministic decode counters** (`Hard`): a repeated signature
+//!   workload with the shared node cache must decode strictly fewer
+//!   nodes than the same workload limited to the per-query memo
+//!   (`repeat.nodes_decoded_shared_cache` < the memo-only count), with
+//!   `repeat.shared_node_hits` > 0; answers are asserted byte-identical.
+//! * **Throughput scaling** (`Clock { min_threads: 4 }`): aggregate
+//!   queries/sec at 4 threads ≥ 2.5× a single thread
+//!   (`scaling_4t_vs_1t`). Queries/sec at 1, 2, 4 and 8 threads are
+//!   recorded as `qps.t<n>`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use rcube_bench::{GateKind, Op, Report};
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
 use rcube_core::sigquery::topk_signature;
 use rcube_core::{GridCubeConfig, GridRankingCube, TopKQuery};
@@ -142,22 +141,20 @@ fn repeat_decode_counters(path: &std::path::Path, rounds: usize) -> (u64, u64, u
 }
 
 fn main() {
-    let soft = std::env::var_os("RCUBE_BENCH_SOFT").is_some();
-    let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let s = setup();
+    let mut report = Report::new("concurrency");
 
     // --- Deterministic counters (hard gate, no wall clock involved) -----
     let (with_cache, without_cache, shared_hits) = repeat_decode_counters(&s.paths[1], 5);
-    println!(
-        "concurrency: repeated workload nodes_decoded {with_cache} (shared cache) vs \
-         {without_cache} (per-query memo), {shared_hits} shared hits"
-    );
-    assert!(
-        with_cache < without_cache,
-        "warm shared-cache serving must decode strictly fewer nodes \
-         ({with_cache} vs {without_cache})"
-    );
-    assert!(shared_hits > 0, "repeat workload must register shared node hits");
+    report
+        .gate(
+            "repeat.nodes_decoded_shared_cache",
+            with_cache as f64,
+            Op::Lt,
+            without_cache as f64,
+            GateKind::Hard,
+        )
+        .gate("repeat.shared_node_hits", shared_hits as f64, Op::Gt, 0.0, GateKind::Hard);
 
     // --- Thread-scaling throughput --------------------------------------
     // Warm the pools and the node cache once so every thread count starts
@@ -165,104 +162,41 @@ fn main() {
     let disk = DiskSim::with_defaults();
     run_workload_once(&s, &disk);
     let window = Duration::from_millis(400);
-    let thread_counts = [1usize, 2, 4, 8];
     let mut qps = Vec::new();
-    for &t in &thread_counts {
+    for t in [1usize, 2, 4, 8] {
         let v = measure_qps(&s, t, window);
-        println!("concurrency: {t:>2} threads -> {v:>10.0} queries/sec aggregate");
+        report.metric(&format!("qps.t{t}"), "1/s", &[v]);
         qps.push(v);
     }
-    let scaling_4t = qps[2] / qps[0].max(f64::MIN_POSITIVE);
-    let enforce = !soft && hardware >= 4;
-    println!(
-        "concurrency: 4-thread scaling {scaling_4t:.2}x vs single thread \
-         ({hardware} hardware threads, gate {})",
-        if enforce { "hard" } else { "soft" }
-    );
-    if enforce {
-        assert!(
-            scaling_4t >= 2.5,
-            "4-thread aggregate throughput must be >= 2.5x single-thread, got {scaling_4t:.2}x"
-        );
-    } else if scaling_4t < 2.5 {
-        eprintln!(
-            "WARNING: 4-thread scaling {scaling_4t:.2}x below the 2.5x target \
-             (soft: {} hardware threads{})",
-            hardware,
-            if soft { ", RCUBE_BENCH_SOFT" } else { "" }
-        );
-    }
+    let scaling_4t = qps[2] / qps[0];
+    report.gate("scaling_4t_vs_1t", scaling_4t, Op::Ge, 2.5, GateKind::Clock { min_threads: 4 });
 
     // --- Cache effectiveness (the pool_stats / node-cache snapshots) ----
     let pool = s.grid_file.pool_stats().expect("file-backed grid cube has a pool");
-    println!(
-        "concurrency: grid pool {} shards, {}/{} pages, hit rate {:.3}, {} evictions",
-        pool.shards.len(),
-        pool.used_pages(),
-        pool.capacity_pages(),
-        pool.hit_rate(),
-        pool.evictions()
-    );
+    assert!(pool.hits() > 0, "hammering must hit the sharded pool");
     for (i, sh) in pool.shards.iter().enumerate() {
         println!(
-            "  shard {i}: {}/{} pages, {} frames, {} hits / {} misses",
+            "  grid pool shard {i}: {}/{} pages, {} frames, {} hits / {} misses",
             sh.used_pages, sh.capacity_pages, sh.frames, sh.hits, sh.misses
         );
     }
     let sig_pool = s.sig_file.pool_stats().expect("file-backed sig cube has a pool");
     let nc = s.sig_file.node_cache().stats();
-    println!(
-        "concurrency: sig pool hit rate {:.3}; node cache {} entries / {} bytes, \
-         {} hits / {} misses / {} evictions",
-        sig_pool.hit_rate(),
-        nc.entries,
-        nc.bytes,
-        nc.hits,
-        nc.misses,
-        nc.evictions
-    );
-    assert!(pool.hits() > 0, "hammering must hit the sharded pool");
-
-    // --- BENCH_concurrency.json -----------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"concurrency\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str(&format!("  \"hardware_threads\": {hardware},\n"));
-    json.push_str("  \"aggregate_qps\": {\n");
-    for (i, (&t, v)) in thread_counts.iter().zip(&qps).enumerate() {
-        let sep = if i + 1 == thread_counts.len() { "" } else { "," };
-        json.push_str(&format!("    \"t{t}\": {v:.1}{sep}\n"));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"scaling_4t_vs_1t\": {scaling_4t:.2},\n  \"target_scaling_4t_min\": 2.5,\n  \
-         \"scaling_gate_enforced\": {enforce},\n"
-    ));
-    json.push_str(&format!(
-        "  \"counters_repeat_workload\": {{ \"nodes_decoded_shared_cache\": {with_cache}, \
-         \"nodes_decoded_memo_only\": {without_cache}, \"shared_node_hits\": {shared_hits}, \
-         \"decode_reduction\": {:.2} }},\n",
-        without_cache as f64 / with_cache.max(1) as f64
-    ));
-    json.push_str(&format!(
-        "  \"grid_pool\": {{ \"shards\": {}, \"capacity_pages\": {}, \"used_pages\": {}, \
-         \"hit_rate\": {:.3}, \"evictions\": {} }},\n",
-        pool.shards.len(),
-        pool.capacity_pages(),
-        pool.used_pages(),
-        pool.hit_rate(),
-        pool.evictions()
-    ));
-    json.push_str(&format!(
-        "  \"sig_node_cache\": {{ \"entries\": {}, \"bytes\": {}, \"hits\": {}, \
-         \"misses\": {}, \"evictions\": {} }}\n}}\n",
-        nc.entries, nc.bytes, nc.hits, nc.misses, nc.evictions
-    ));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_concurrency.json");
-    std::fs::write(path, &json).expect("write BENCH_concurrency.json");
-    println!("wrote {path}");
+    report
+        .metric("grid_pool.shards", "count", &[pool.shards.len() as f64])
+        .metric("grid_pool.capacity_pages", "pages", &[pool.capacity_pages() as f64])
+        .metric("grid_pool.used_pages", "pages", &[pool.used_pages() as f64])
+        .metric("grid_pool.hit_rate", "ratio", &[pool.hit_rate()])
+        .metric("grid_pool.evictions", "count", &[pool.evictions() as f64])
+        .metric("sig_pool.hit_rate", "ratio", &[sig_pool.hit_rate()])
+        .metric("sig_node_cache.entries", "count", &[nc.entries as f64])
+        .metric("sig_node_cache.bytes", "B", &[nc.bytes as f64])
+        .metric("sig_node_cache.hits", "count", &[nc.hits as f64])
+        .metric("sig_node_cache.misses", "count", &[nc.misses as f64])
+        .metric("sig_node_cache.evictions", "count", &[nc.evictions as f64]);
 
     for p in &s.paths {
         std::fs::remove_file(p).ok();
     }
+    report.write();
 }

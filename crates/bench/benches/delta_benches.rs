@@ -4,23 +4,29 @@
 //! appends, memtable folds into the base cube via COW commit, WAL
 //! compaction by atomic rename, generation swap.
 //!
-//! The run writes `BENCH_delta.json` at the workspace root. Gates:
+//! The run writes `BENCH_delta.json` at the workspace root in the schema
+//! documented on [`rcube_bench::Report`]. Gates, all `Hard`:
 //!
-//! * **Deterministic (always hard):** every answer a pinned reader
-//!   produces across the cycles is byte-identical to the state its
-//!   cursor opened on (`inconsistent_answers` must be exactly zero);
-//!   at every checked point the merged base+overlay view is
+//! * every answer a pinned reader produces across the cycles is
+//!   byte-identical to the state its cursor opened on
+//!   (`inconsistent_answers` == 0);
+//! * at every checked point the merged base+overlay view is
 //!   byte-identical to a signature cube built from scratch over the
-//!   logical relation (tid-exact on insert-only points, score-exact
-//!   once deletes shift tids); a reopen replays the WAL with *exact*
-//!   counts (pending == appends since the last flush, applied == live
-//!   delta tuples, no torn tail) and answers identically to the
-//!   pre-shutdown state; the obs instruments saw every append and
-//!   every flush; every flush rewrites at most as many cell signatures
-//!   as the cube materializes (each affected cell once per flush).
-//! * **Clock (reported, never load-bearing):** ingest ops/sec during
-//!   the cycles and mixed read/write ops/sec from the Zipf-skewed
-//!   `MixedWorkloadGen` stream.
+//!   logical relation — tid-exact on insert-only points, score-exact
+//!   once deletes shift tids (`byte_identity_checkpoints`, the
+//!   checkpoints that matched, == all `ROUNDS + 2` of them);
+//! * a reopen replays the WAL with exact counts: `replay_pending` ==
+//!   the appends since the last flush, `replay_applied` == the live
+//!   delta tuples, `replay_records` == pending + applied;
+//! * every flush rewrites at most as many cell signatures as the cube
+//!   materializes, each affected cell once per flush
+//!   (`cells_rewritten_max_flush` ≤ the materialized cells).
+//!
+//! Asserted alongside: no torn WAL tail on a clean shutdown, the reopened
+//! cube answers like the pre-shutdown state, and the obs instruments saw
+//! every append and every flush. Ingest ops/sec during the cycles and
+//! mixed read/write ops/sec from the Zipf-skewed `MixedWorkloadGen`
+//! stream are recorded, not gated.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, RwLock};
@@ -38,6 +44,7 @@ use ranking_cube::table::workload::{
     MixedWorkloadGen, MixedWorkloadParams, QuerySpec, WorkloadOp, WorkloadParams,
 };
 use ranking_cube::table::{Relation, RelationBuilder, Tid};
+use rcube_bench::{GateKind, Op, Report};
 
 const PAGE: usize = 4096;
 const POOL: usize = 2048;
@@ -141,7 +148,7 @@ fn query_of(spec: &QuerySpec) -> Query {
 }
 
 fn main() {
-    let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut report = Report::new("delta");
     let full =
         SyntheticSpec { tuples: TOTAL, cardinality: CARDINALITY, ..Default::default() }.generate();
     let base_rel = full.prefix(BASE);
@@ -178,12 +185,13 @@ fn main() {
     // Tid-exact identity on the insert-only checkpoints: the delta
     // allocates tids densely from the base length, so the merged view
     // must match a cube rebuilt over the longer prefix *including* tids.
-    let verify_insert_checkpoint = |delta: &DeltaCube, upto: usize, label: &str| {
+    // Returns the merged answers and whether they matched.
+    let insert_checkpoint = |delta: &DeltaCube, upto: usize| {
         let got = answers(delta);
         let want: Vec<String> =
             rebuilt_answers(&full.prefix(upto)).into_iter().map(|(f, _)| f).collect();
-        assert_eq!(got, want, "{label}: merged view != rebuilt cube over prefix({upto})");
-        got
+        let matched = got == want;
+        (got, matched)
     };
 
     std::thread::scope(|s| {
@@ -233,8 +241,8 @@ fn main() {
         // the cycle underneath them.
         for round in 0..ROUNDS {
             let upto = BASE + round * STEP;
-            let exp = verify_insert_checkpoint(&delta, upto, &format!("checkpoint {round}"));
-            identity_checks += 1;
+            let (exp, matched) = insert_checkpoint(&delta, upto);
+            identity_checks += u64::from(matched);
             *expected.write().unwrap() = exp;
             barrier.wait(); // A
             barrier.wait(); // B
@@ -286,8 +294,7 @@ fn main() {
         .collect();
     let want_scores: Vec<String> =
         rebuilt_answers(&logical_after_deletes).into_iter().map(|(_, s)| s).collect();
-    assert_eq!(got_scores, want_scores, "post-delete merged view != rebuilt logical cube");
-    identity_checks += 1;
+    identity_checks += u64::from(got_scores == want_scores);
 
     // Zipf-skewed mixed read/write stream against the quiesced delta:
     // the sustained ingest+serve shape, measured not gated.
@@ -354,8 +361,7 @@ fn main() {
         .collect();
     let want_scores: Vec<String> =
         rebuilt_answers(&logical_mixed).into_iter().map(|(_, s)| s).collect();
-    assert_eq!(got_scores, want_scores, "post-mixed merged view != rebuilt logical cube");
-    identity_checks += 1;
+    identity_checks += u64::from(got_scores == want_scores);
 
     // Exact replay accounting: a handful of un-flushed appends, then a
     // "crash" (drop) and reopen. The replay must recover precisely the
@@ -373,15 +379,14 @@ fn main() {
     let reopened =
         DeltaCube::open(&path, base_rel.clone(), DeltaOptions::default()).expect("reopen");
     let replay = reopened.last_replay();
-    assert_eq!(replay.pending, TAIL, "pending must equal appends since the last flush");
-    assert_eq!(
-        replay.applied, stats_before.applied_tuples as u64,
-        "applied records must equal the pre-shutdown live delta tuples"
-    );
-    assert_eq!(replay.records, replay.pending + replay.applied);
+    let (pending, applied) = (replay.pending as f64, replay.applied as f64);
+    let live_delta = stats_before.applied_tuples as f64;
+    report
+        .gate("replay_pending", pending, Op::Eq, TAIL as f64, GateKind::Hard)
+        .gate("replay_applied", applied, Op::Eq, live_delta, GateKind::Hard)
+        .gate("replay_records", replay.records as f64, Op::Eq, pending + applied, GateKind::Hard);
     assert!(!replay.torn_tail, "clean shutdown must not classify as torn");
     assert_eq!(answers(&reopened), before, "reopen answers the pre-shutdown state");
-    let replay_exact = true;
 
     // Obs instruments saw everything.
     assert_eq!(metrics.counter("delta.appends").get(), appends_total);
@@ -389,62 +394,38 @@ fn main() {
     assert_eq!(metrics.histogram("delta.flush_duration_us").count(), flushes_done);
 
     // --- Hard deterministic gates ---------------------------------------
-    assert_eq!(bad, 0, "a pinned reader observed an answer from a foreign state mid-cycle");
-    assert_eq!(identity_checks, ROUNDS as u64 + 2);
     let max_cells = flush_costs.iter().map(|f| f.cells).max().unwrap_or(0);
-    assert!(
-        max_cells <= materialized_cells,
-        "a flush rewrote {max_cells} cell signatures; the cube materializes {materialized_cells}"
-    );
+    report
+        .gate("inconsistent_answers", bad as f64, Op::Eq, 0.0, GateKind::Hard)
+        .gate(
+            "byte_identity_checkpoints",
+            identity_checks as f64,
+            Op::Eq,
+            (ROUNDS + 2) as f64,
+            GateKind::Hard,
+        )
+        .gate(
+            "cells_rewritten_max_flush",
+            max_cells as f64,
+            Op::Le,
+            materialized_cells as f64,
+            GateKind::Hard,
+        );
 
-    let mean = |f: fn(&FlushCost) -> u64| {
-        flush_costs.iter().map(f).sum::<u64>() as f64 / flush_costs.len().max(1) as f64
+    let per_flush = |f: fn(&FlushCost) -> u64| -> Vec<f64> {
+        flush_costs.iter().map(|c| f(c) as f64).collect()
     };
-    let mean_flush_us = mean(|f| f.us);
-    let cells_per_flush = mean(|f| f.cells);
-    let pages_per_flush = mean(|f| f.pages);
-    println!(
-        "delta: {READERS} pinned readers, {ROUNDS} ingest→flush→swap rounds, {bad} inconsistent \
-         of {} pinned answers; {identity_checks} byte-identity checkpoints; ingest \
-         {ingest_ops_per_sec:.0} ops/s, mixed {mixed_ops_per_sec:.0} ops/s ({mixed_answers} \
-         answers), mean flush {mean_flush_us:.0}us ({cells_per_flush:.1} cells, \
-         {pages_per_flush:.1} pages); replay {}+{} records exact",
-        pinned_answers.load(Ordering::Relaxed),
-        replay.pending,
-        replay.applied,
-    );
-
-    // --- BENCH_delta.json ------------------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"delta\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str(&format!("  \"hardware_threads\": {hardware},\n"));
-    json.push_str(&format!(
-        "  \"readers\": {READERS},\n  \"cycles\": {ROUNDS},\n  \"mixed_ops\": {MIXED_OPS},\n"
-    ));
-    json.push_str(&format!("  \"inconsistent_answers\": {bad},\n"));
-    json.push_str(&format!("  \"pinned_answers\": {},\n", pinned_answers.load(Ordering::Relaxed)));
-    json.push_str(&format!("  \"byte_identity_checkpoints\": {identity_checks},\n"));
-    json.push_str("  \"identity_mismatches\": 0,\n");
-    json.push_str(&format!(
-        "  \"replay_records\": {},\n  \"replay_pending\": {},\n  \"replay_applied\": {},\n  \
-         \"replay_exact\": {replay_exact},\n  \"torn_tail\": {},\n",
-        replay.records, replay.pending, replay.applied, replay.torn_tail
-    ));
-    json.push_str(&format!(
-        "  \"appends_total\": {appends_total},\n  \"flushes\": {flushes_done},\n"
-    ));
-    json.push_str(&format!(
-        "  \"materialized_cells\": {materialized_cells},\n  \"cells_rewritten_per_flush\": \
-         {cells_per_flush:.1},\n  \"cells_rewritten_max_flush\": {max_cells},\n  \
-         \"pages_appended_per_flush\": {pages_per_flush:.1},\n"
-    ));
-    json.push_str(&format!(
-        "  \"ingest_ops_per_sec\": {ingest_ops_per_sec:.1},\n  \"mixed_ops_per_sec\": \
-         {mixed_ops_per_sec:.1},\n  \"flush_duration_us_mean\": {mean_flush_us:.0}\n}}\n"
-    ));
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_delta.json");
-    std::fs::write(out, &json).expect("write BENCH_delta.json");
-    println!("wrote {out}");
+    report
+        .metric("pinned_answers", "count", &[pinned_answers.load(Ordering::Relaxed) as f64])
+        .metric("appends_total", "count", &[appends_total as f64])
+        .metric("flushes", "count", &[flushes_done as f64])
+        .metric("cells_rewritten_per_flush", "count", &per_flush(|f| f.cells))
+        .metric("pages_appended_per_flush", "pages", &per_flush(|f| f.pages))
+        .metric("flush_duration_us", "us", &per_flush(|f| f.us))
+        .metric("ingest_ops_per_sec", "1/s", &[ingest_ops_per_sec])
+        .metric("mixed_ops_per_sec", "1/s", &[mixed_ops_per_sec])
+        .metric("mixed_answers", "count", &[mixed_answers as f64]);
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(wal_path_for(&path)).ok();
+    report.write();
 }

@@ -1,12 +1,16 @@
 //! Posting-list engine micro-benchmarks (Section 3.6.3's fast-merge
 //! claim), plus the end-to-end fragments covering-set query they feed.
 //!
-//! The run writes `BENCH_idlist.json` at the workspace root so the perf
-//! trajectory of this hot path is recorded PR over PR. The headline
-//! number is `speedup_bitmap_intersect`: word-parallel AND vs the seed's
-//! bit-at-a-time loop on a dense pair over a 100k universe (target ≥ 5×).
+//! The run writes `BENCH_idlist.json` at the workspace root in the schema
+//! documented on [`rcube_bench::Report`]: every benchmark's ns/iter, the
+//! speedups (ratios of medians) and one gate:
+//!
+//! * `speedup_bitmap_intersect` ≥ 5 (`Clock { min_threads: 1 }`):
+//!   word-parallel AND + count_ones vs the seed's bit-at-a-time loop on a
+//!   dense pair over a 100k universe.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rcube_bench::{GateKind, Op};
 use rcube_core::fragments::{FragmentConfig, RankingFragments};
 use rcube_core::idlist::{self, IdListRef, KWayIntersect};
 use rcube_core::TopKQuery;
@@ -152,58 +156,28 @@ fn bench_fragments_query(c: &mut Criterion) {
     g.finish();
 }
 
-/// Serializes every measurement of this run — plus the headline speedups —
-/// to `BENCH_idlist.json` at the workspace root. Runs last in the group.
+/// Writes `BENCH_idlist.json` from every measurement of this run plus
+/// the speedups. Runs last in the group.
 fn emit_json(c: &mut Criterion) {
-    let ms = c.measurements().to_vec();
-    let find = |id: &str| ms.iter().find(|m| m.id == id).map(|m| m.mean_ns);
-    let speedup = |base: &str, new: &str| match (find(base), find(new)) {
-        (Some(b), Some(n)) if n > 0.0 => b / n,
-        _ => 0.0,
+    let ms = c.measurements();
+    let median = |id: &str| ms.iter().find(|m| m.id == id).map_or(f64::NAN, |m| m.median_ns);
+    let speedup = |group: &str, base: &str, new: &str| {
+        median(&format!("{group}/{base}")) / median(&format!("{group}/{new}"))
     };
+    let bitmap = "bitmap_intersect_100k";
     // Headline: the intersection computed as wordwise AND + count_ones vs
     // the seed's bit-at-a-time scan — like for like, neither materializes.
-    let su_bitmap = speedup(
-        "bitmap_intersect_100k/seed_bit_at_a_time_count",
-        "bitmap_intersect_100k/word_parallel_count",
-    );
-    let su_materialize =
-        speedup("bitmap_intersect_100k/seed_bit_at_a_time", "bitmap_intersect_100k/word_parallel");
-    let su_kway =
-        speedup("kway_intersect_3/seed_decode_hashset", "kway_intersect_3/streaming_leapfrog");
-    let su_seek = speedup("seek_200k/delta_linear/64", "seek_200k/skip_gallop/64");
-
-    let mut json = String::from("{\n  \"bench\": \"idlist\",\n  \"unit\": \"ns_per_iter\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str("  \"results\": {\n");
-    for (i, m) in ms.iter().enumerate() {
-        let sep = if i + 1 == ms.len() { "" } else { "," };
-        json.push_str(&format!("    \"{}\": {:.1}{}\n", m.id, m.mean_ns, sep));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"speedup_bitmap_intersect\": {su_bitmap:.2},\n  \"speedup_bitmap_materialize\": {su_materialize:.2},\n  \"speedup_kway_intersect\": {su_kway:.2},\n  \"speedup_seek\": {su_seek:.2},\n  \"target_bitmap_speedup\": 5.0\n}}\n"
-    ));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_idlist.json");
-    std::fs::write(path, &json).expect("write BENCH_idlist.json");
-    println!("wrote {path}");
-    println!(
-        "speedups: bitmap {su_bitmap:.1}x (materializing {su_materialize:.1}x), kway {su_kway:.1}x, seek {su_seek:.1}x"
-    );
-    // Wall-clock ratios are noisy on shared CI runners; there the recorded
-    // JSON is the artifact and the gate is soft (RCUBE_BENCH_SOFT=1).
-    // Local/dev runs keep the hard ≥5× acceptance check.
-    if std::env::var_os("RCUBE_BENCH_SOFT").is_some() {
-        if su_bitmap < 5.0 {
-            eprintln!("WARNING: bitmap speedup {su_bitmap:.2}× below the 5× target");
-        }
-    } else {
-        assert!(
-            su_bitmap >= 5.0,
-            "word-parallel bitmap intersection must be ≥5× the seed loop, got {su_bitmap:.2}×"
-        );
-    }
+    let headline = speedup(bitmap, "seed_bit_at_a_time_count", "word_parallel_count");
+    let materialize = speedup(bitmap, "seed_bit_at_a_time", "word_parallel");
+    let kway = speedup("kway_intersect_3", "seed_decode_hashset", "streaming_leapfrog");
+    let seek = speedup("seek_200k", "delta_linear/64", "skip_gallop/64");
+    rcube_bench::Report::new("idlist")
+        .criterion(ms)
+        .gate("speedup_bitmap_intersect", headline, Op::Ge, 5.0, GateKind::Clock { min_threads: 1 })
+        .metric("speedup_bitmap_materialize", "ratio", &[materialize])
+        .metric("speedup_kway_intersect", "ratio", &[kway])
+        .metric("speedup_seek", "ratio", &[seek])
+        .write();
 }
 
 criterion_group!(

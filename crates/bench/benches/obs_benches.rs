@@ -4,26 +4,29 @@
 //! workload: one fully instrumented (per-engine metric registry, the
 //! default), one with [`Metrics::disabled`] so every instrument is a
 //! no-op handle. The run writes `BENCH_observability.json` at the
-//! workspace root and enforces three gates:
+//! workspace root in the schema documented on [`rcube_bench::Report`].
+//! Gates:
 //!
-//! * **answers_identical** (hard, deterministic): the instrumented and
-//!   uninstrumented engines return byte-identical answers — same tids,
-//!   same scores down to the f64 bit pattern. Instrumentation must
-//!   never perturb the result.
-//! * **counter_parity** (hard, deterministic): the registry's per-route
-//!   query counters and histogram sums reconcile exactly with the
-//!   `QueryStats` the cursors themselves reported (`query.<r>.count`
-//!   totals the queries; `query.<r>.blocks_read` / `.tuples_scored`
-//!   histogram sums equal the accumulated per-query stats).
-//! * **overhead_pct ≤ 5** (wall-clock): the instrumented engine's
-//!   workload time stays within 5% of the uninstrumented one. Reported
-//!   always; enforced unless `RCUBE_BENCH_SOFT` is set (CI containers
-//!   and 1-core runners make wall-clock gates flaky).
+//! * **Identical answers** (`Hard`): the instrumented and uninstrumented
+//!   engines return byte-identical answers — same tids, same scores down
+//!   to the f64 bit pattern (`answers_differing` == 0). Instrumentation
+//!   must never perturb the result.
+//! * **Counter parity** (`Hard`): the registry's per-route query counters
+//!   and histogram sums reconcile exactly with the `QueryStats` the
+//!   cursors themselves reported: `queries_counted` (Σ
+//!   `query.<r>.count`) and `queries_timed` (Σ `query.<r>.latency_us`
+//!   counts) equal the number of queries; `blocks_read` / `tuples_scored`
+//!   (Σ `query.<r>.blocks_read` / `.tuples_scored` histogram sums) equal
+//!   the accumulated per-query stats.
+//! * **Overhead** (`Clock { min_threads: 1 }`): the instrumented engine's
+//!   workload time stays within 5% of the uninstrumented one
+//!   (`overhead_pct` ≤ 5, from each engine's fastest of the timed rounds).
 
 use std::time::Instant;
 
 use ranking_cube::obs::Metrics;
 use ranking_cube::prelude::*;
+use rcube_bench::{GateKind, Op, Report};
 use rcube_core::gridcube::GridCubeConfig;
 use rcube_core::sigcube::SignatureCubeConfig;
 use rcube_index::rtree::RTreeConfig;
@@ -33,6 +36,9 @@ const TUPLES: usize = 4_000;
 const SEED: u64 = 0xB0B5;
 /// Timed repetitions of the workload per engine; the minimum is scored.
 const ROUNDS: usize = 5;
+
+/// Every route the engine keeps per-route instruments for.
+const ROUTES: [Route; 4] = [Route::Grid, Route::Fragments, Route::Signature, Route::Scan];
 
 fn build_engine(metrics: Metrics) -> Engine {
     // Same seed on both sides: the relations are identical.
@@ -71,8 +77,9 @@ fn run_workload(eng: &Engine, queries: &[Query]) -> (Vec<(u32, u64)>, QueryStats
 }
 
 fn main() {
-    let soft = std::env::var_os("RCUBE_BENCH_SOFT").is_some();
+    let mut report = Report::new("observability");
     let queries = workload();
+    let n_queries = queries.len() as f64;
 
     let instrumented = build_engine(Metrics::new());
     let bare = build_engine(Metrics::disabled());
@@ -80,92 +87,52 @@ fn main() {
     // --- Gate 1: byte-identical answers ---------------------------------
     let (answers_i, stats_i) = run_workload(&instrumented, &queries);
     let (answers_b, _) = run_workload(&bare, &queries);
-    let answers_identical = answers_i == answers_b;
-    assert!(answers_identical, "instrumentation must not perturb answers");
+    let differing = answers_i.iter().zip(&answers_b).filter(|(i, b)| i != b).count()
+        + answers_i.len().abs_diff(answers_b.len());
+    report.gate("answers_differing", differing as f64, Op::Eq, 0.0, GateKind::Hard);
 
     // --- Gate 2: counter parity with QueryStats -------------------------
     // The warm-up pass above ran every query once on each engine.
     let snap = instrumented.metrics().snapshot();
-    let count_total: u64 = [Route::Grid, Route::Fragments, Route::Signature, Route::Scan]
-        .iter()
-        .filter_map(|r| snap.histogram(&format!("query.{}.latency_us", r.name())))
-        .map(|h| h.count)
-        .sum();
-    let counter_total: u64 = [Route::Grid, Route::Fragments, Route::Signature, Route::Scan]
-        .iter()
-        .filter_map(|r| snap.counter(&format!("query.{}.count", r.name())))
-        .sum();
-    let blocks_total: u64 = [Route::Grid, Route::Fragments, Route::Signature, Route::Scan]
-        .iter()
-        .filter_map(|r| snap.histogram(&format!("query.{}.blocks_read", r.name())))
-        .map(|h| h.sum)
-        .sum();
-    let tuples_total: u64 = [Route::Grid, Route::Fragments, Route::Signature, Route::Scan]
-        .iter()
-        .filter_map(|r| snap.histogram(&format!("query.{}.tuples_scored", r.name())))
-        .map(|h| h.sum)
-        .sum();
-    let counter_parity = count_total == queries.len() as u64
-        && counter_total == queries.len() as u64
-        && blocks_total == stats_i.blocks_read
-        && tuples_total == stats_i.tuples_scored;
-    assert!(
-        counter_parity,
-        "registry must reconcile with QueryStats: {count_total}/{counter_total} queries \
-         (want {}), {blocks_total} blocks (want {}), {tuples_total} tuples (want {})",
-        queries.len(),
-        stats_i.blocks_read,
-        stats_i.tuples_scored
-    );
+    let counter = |suffix: &str| -> u64 {
+        ROUTES.iter().filter_map(|r| snap.counter(&format!("query.{}.{suffix}", r.name()))).sum()
+    };
+    // (Σ count, Σ sum) of the per-route histograms `query.<r>.<suffix>`.
+    let histogram = |suffix: &str| -> (u64, u64) {
+        ROUTES
+            .iter()
+            .filter_map(|r| snap.histogram(&format!("query.{}.{suffix}", r.name())))
+            .fold((0, 0), |(count, sum), h| (count + h.count, sum + h.sum))
+    };
+    let timed = histogram("latency_us").0;
+    let blocks = histogram("blocks_read").1;
+    let tuples = histogram("tuples_scored").1;
+    report
+        .gate("queries_counted", counter("count") as f64, Op::Eq, n_queries, GateKind::Hard)
+        .gate("queries_timed", timed as f64, Op::Eq, n_queries, GateKind::Hard)
+        .gate("blocks_read", blocks as f64, Op::Eq, stats_i.blocks_read as f64, GateKind::Hard)
+        .gate("tuples_scored", tuples as f64, Op::Eq, stats_i.tuples_scored as f64, GateKind::Hard);
 
     // --- Gate 3: wall-clock overhead ------------------------------------
-    let time_engine = |eng: &Engine| {
-        let mut best = f64::INFINITY;
-        for _ in 0..ROUNDS {
-            let start = Instant::now();
-            let (answers, _) = run_workload(eng, &queries);
-            let elapsed = start.elapsed().as_secs_f64() * 1e3;
-            std::hint::black_box(answers);
-            best = best.min(elapsed);
-        }
-        best
+    let time_engine = |eng: &Engine| -> Vec<f64> {
+        (0..ROUNDS)
+            .map(|_| {
+                let start = Instant::now();
+                let (answers, _) = run_workload(eng, &queries);
+                let elapsed = start.elapsed().as_secs_f64() * 1e3;
+                std::hint::black_box(answers);
+                elapsed
+            })
+            .collect()
     };
+    let fastest = |ms: &[f64]| ms.iter().copied().fold(f64::INFINITY, f64::min);
     let ms_bare = time_engine(&bare);
     let ms_instr = time_engine(&instrumented);
-    let overhead_pct = (ms_instr - ms_bare) / ms_bare * 100.0;
-    println!(
-        "observability overhead: instrumented {ms_instr:.2} ms vs bare {ms_bare:.2} ms \
-         ({overhead_pct:+.2}%){}",
-        if soft { " [soft]" } else { "" }
-    );
-    if !soft {
-        assert!(
-            overhead_pct <= 5.0,
-            "instrumentation overhead {overhead_pct:.2}% exceeds the 5% gate \
-             (set RCUBE_BENCH_SOFT=1 on noisy runners)"
-        );
-    }
-
-    // --- BENCH_observability.json ---------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"observability\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str(&format!(
-        "  \"queries\": {},\n  \"answers_identical\": {answers_identical},\n  \
-         \"counter_parity\": {counter_parity},\n",
-        queries.len()
-    ));
-    json.push_str(&format!(
-        "  \"counters\": {{ \"queries_counted\": {counter_total}, \"blocks_read\": \
-         {blocks_total}, \"tuples_scored\": {tuples_total} }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"wall_ms\": {{ \"instrumented\": {ms_instr:.3}, \"bare\": {ms_bare:.3} }},\n  \
-         \"overhead_pct\": {overhead_pct:.2},\n  \"target_overhead_pct_max\": 5.0,\n  \
-         \"overhead_gate_enforced\": {}\n}}\n",
-        !soft
-    ));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_observability.json");
-    std::fs::write(path, &json).expect("write BENCH_observability.json");
-    println!("wrote {path}");
+    let (best_bare, best_instr) = (fastest(&ms_bare), fastest(&ms_instr));
+    let overhead_pct = (best_instr - best_bare) / best_bare * 100.0;
+    report
+        .gate("overhead_pct", overhead_pct, Op::Le, 5.0, GateKind::Clock { min_threads: 1 })
+        .metric("wall_ms.instrumented", "ms", &ms_instr)
+        .metric("wall_ms.bare", "ms", &ms_bare)
+        .write();
 }

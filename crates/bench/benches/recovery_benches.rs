@@ -2,29 +2,28 @@
 //! generation they opened stream top-k answers while a writer publishes
 //! generational patch commits against the same cube file.
 //!
-//! The run writes `BENCH_recovery.json` at the workspace root with two
-//! gate families:
+//! The run writes `BENCH_recovery.json` at the workspace root in the
+//! schema documented on [`rcube_bench::Report`]. Gates, both `Hard`:
 //!
-//! * **Consistency (always hard):** every answer any reader produces
-//!   during the commit storm must be byte-identical to its pinned
-//!   generation — `inconsistent_answers` must be exactly zero — and the
-//!   file must elect the final generation clean afterwards.
-//! * **Patch-commit write volume (always hard):** publishing an
-//!   incremental maintenance round as a COW patch commit must write
-//!   *strictly fewer* pages than rematerializing the cube from scratch
-//!   (`pages_written` counted at the raw page-I/O boundary of the
-//!   file backend).
+//! * **Consistency:** every answer any reader produces during the commit
+//!   storm must be byte-identical to its pinned generation —
+//!   `inconsistent_answers` == 0. The file must also elect the final
+//!   generation clean afterwards (asserted).
+//! * **Patch-commit write volume:** publishing an incremental maintenance
+//!   round as a COW patch commit must write strictly fewer pages than
+//!   rematerializing the cube from scratch (`pages_patch_commit` <
+//!   `pages_full_rematerialize`, counted at the raw page-I/O boundary of
+//!   the file backend).
 //!
-//! Reader throughput and tail latency during the commits are recorded in
-//! the JSON for trend tracking; they are wall-clock numbers and carry no
-//! hard gate (`RCUBE_BENCH_SOFT` exists for the other suites' clock
-//! gates — this one never asserts on the clock).
+//! Reader throughput and latency during the commits are recorded for
+//! trend tracking; they are wall-clock numbers and carry no gate.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use rcube_bench::{GateKind, Op, Report};
 use rcube_core::maintain::apply_path_updates;
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
 use rcube_core::sigquery::topk_signature;
@@ -105,7 +104,7 @@ fn percentile(sorted: &[u64], q: f64) -> f64 {
 }
 
 fn main() {
-    let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut report = Report::new("recovery");
     let rel =
         SyntheticSpec { tuples: TOTAL, cardinality: CARDINALITY, ..Default::default() }.generate();
     let base_rel = rel.prefix(BASE);
@@ -154,15 +153,9 @@ fn main() {
     let pages_full = full_fb.pages_written();
     drop((full_cube, full_fb));
 
-    println!(
-        "recovery: patch commit wrote {pages_patch} pages vs {pages_full} full rematerialize \
-         ({reclaimable} pages left for vacuum)"
-    );
-    assert!(
-        pages_patch < pages_full,
-        "a COW patch commit must write strictly fewer pages than a full rematerialize \
-         ({pages_patch} vs {pages_full})"
-    );
+    report
+        .gate("pages_patch_commit", pages_patch as f64, Op::Lt, pages_full as f64, GateKind::Hard)
+        .metric("reclaimable_after_patch", "pages", &[reclaimable as f64]);
 
     // --- Eight pinned readers racing a committing writer ----------------
     // Serial twin of the commit storm first: the deterministic reference
@@ -235,12 +228,15 @@ fn main() {
     let bad = inconsistent.load(Ordering::Relaxed);
     let qps = total_queries as f64 / elapsed;
     latencies.sort_unstable();
-    let (p50, p99) = (percentile(&latencies, 0.50), percentile(&latencies, 0.99));
-    println!(
-        "recovery: {READERS} pinned readers sustained {qps:.0} queries/sec during {ROUNDS} \
-         commits (p50 {p50:.1}us, p99 {p99:.1}us, {bad} inconsistent answers)"
-    );
-    assert_eq!(bad, 0, "a pinned reader observed bytes from a foreign generation");
+    report
+        .gate("inconsistent_answers", bad as f64, Op::Eq, 0.0, GateKind::Hard)
+        .metric("reader_qps", "1/s", &[qps])
+        .metric(
+            "latency_us",
+            "us",
+            &latencies.iter().map(|&ns| ns as f64 / 1e3).collect::<Vec<_>>(),
+        )
+        .metric("latency_p99_us", "us", &[percentile(&latencies, 0.99)]);
 
     // The storm must have actually published every generation, and the
     // final file answers like the single-shot patched one.
@@ -254,28 +250,8 @@ fn main() {
     );
     drop((cube, rtree));
 
-    // --- BENCH_recovery.json --------------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"recovery\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str(&format!("  \"hardware_threads\": {hardware},\n"));
-    json.push_str(&format!("  \"readers\": {READERS},\n  \"commits_during_window\": {ROUNDS},\n"));
-    json.push_str(&format!(
-        "  \"reader_qps\": {qps:.1},\n  \"latency_us\": {{ \"p50\": {p50:.1}, \"p99\": {p99:.1} \
-         }},\n"
-    ));
-    json.push_str(&format!("  \"inconsistent_answers\": {bad},\n"));
-    json.push_str(&format!(
-        "  \"pages_patch_commit\": {pages_patch},\n  \"pages_full_rematerialize\": {pages_full},\n"
-    ));
-    json.push_str(&format!(
-        "  \"write_reduction\": {:.2},\n  \"reclaimable_after_patch\": {reclaimable}\n}}\n",
-        pages_full as f64 / pages_patch.max(1) as f64
-    ));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
-    std::fs::write(path, &json).expect("write BENCH_recovery.json");
-    println!("wrote {path}");
-
     for p in [&base_path, &patch_path, &full_path, &twin_path, &race_path] {
         std::fs::remove_file(p).ok();
     }
+    report.write();
 }

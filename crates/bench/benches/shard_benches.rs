@@ -3,28 +3,28 @@
 //! same relation, driven by a Zipf-skewed query mix
 //! (`rcube_bench::zipf_query_batch`).
 //!
-//! The run writes `BENCH_shard.json` at the workspace root with two gate
-//! families:
+//! The run writes `BENCH_shard.json` at the workspace root in the schema
+//! documented on [`rcube_bench::Report`]. Gates:
 //!
-//! * **Deterministic counter gates** (always hard):
+//! * **Deterministic counters** (`Hard`):
 //!   - every sharded answer is byte-identical to the unsharded cube's,
-//!     at every shard count;
+//!     at every shard count (`queries_differing_from_unsharded` == 0);
 //!   - the bound holds per shard: the merge never pulls a shard more
-//!     than `answers_consumed_from_it + 1` times;
+//!     than `answers_consumed_from_it + 1` times
+//!     (`max_per_shard_pull_slack` ≤ 1);
 //!   - per-shard I/O is reproducible: re-running a query yields
-//!     identical per-shard pulls/answers/blocks (pulls are a pure
-//!     function of the consumed-answer sequence).
-//! * **Throughput** (wall-clock): single-client queries/sec at 1, 2 and
-//!   4 shards, and the 4-shard set served to 4 client threads at once
-//!   versus 1. A sharded query runs on its calling thread, so
-//!   concurrency comes from clients sharing one set; the gate (4 clients
-//!   ≥ 2.5× one client) is enforced hard only on machines with ≥ 4
-//!   hardware threads and `RCUBE_BENCH_SOFT` unset — elsewhere it is
-//!   recorded and downgraded to a warning, like every wall-clock gate
-//!   in this repo.
+//!     identical per-shard pulls/answers/blocks, since pulls are a pure
+//!     function of the consumed-answer sequence
+//!     (`repeat_run_shards_differing` == 0).
+//! * **Throughput** (`Clock { min_threads: 4 }`): the 4-shard set served
+//!   to 4 client threads at once reaches ≥ 2.5× one client
+//!   (`scaling_4c_vs_1c`). A sharded query runs on its calling thread,
+//!   so concurrency comes from clients sharing one set. Single-client
+//!   queries/sec at 1, 2 and 4 shards are recorded as `qps.s<n>`.
 
 use std::time::{Duration, Instant};
 
+use rcube_bench::{GateKind, Op, Report};
 use rcube_core::query::{Query, RankedSource};
 use rcube_core::shard::{ShardEngineConfig, ShardedCube, ShardedCubeConfig};
 use rcube_core::{GridCubeConfig, GridRankingCube};
@@ -110,37 +110,25 @@ fn measure_qps(cube: &ShardedCube, queries: &[Query], window: Duration, clients:
     n as f64 / start.elapsed().as_secs_f64()
 }
 
-#[allow(clippy::needless_range_loop)]
 fn main() {
-    let soft = std::env::var_os("RCUBE_BENCH_SOFT").is_some();
-    let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let s = setup();
     let queries: Vec<Query> = s.queries.iter().map(query_of).collect();
+    let mut report = Report::new("shard");
 
     // --- Deterministic gates (hard, no wall clock involved) -------------
+    let mut differing = 0u64;
     let mut max_pull_slack = 0i64;
     let mut merged_blocks_4s = 0u64;
     for (n, cube) in &s.sets {
         for (qi, q) in queries.iter().enumerate() {
-            let expect = unsharded_answers(&s, q);
             let merged = cube.source().query(&q.plan()).expect("cursor merge");
-            assert_eq!(
-                merged.items, expect,
-                "shards={n} query {qi}: merged top-k must be byte-identical to unsharded"
-            );
+            differing += u64::from(merged.items != unsharded_answers(&s, q));
             assert_eq!(merged.stats.shards_opened, *n as u64, "every shard opens");
 
             // The bound: a shard is re-pulled only after its head was
             // consumed, so pulls never exceed answers + 1.
             let fanout = cube.last_fanout().expect("fan-out recorded");
             for f in &fanout.shards {
-                assert!(
-                    f.pulls <= f.answers + 1,
-                    "shards={n} query {qi}: shard {} pulled {} for {} answers",
-                    f.shard,
-                    f.pulls,
-                    f.answers
-                );
                 max_pull_slack = max_pull_slack.max(f.pulls as i64 - f.answers as i64);
             }
             let contributed: u64 = fanout.shards.iter().map(|f| f.answers).sum();
@@ -167,77 +155,35 @@ fn main() {
                 .collect()
         })
         .collect();
-    assert_eq!(runs[0], runs[1], "per-shard pulls/answers/blocks must be deterministic");
-    println!(
-        "shard: {} queries x {:?} shards all byte-identical to unsharded; \
-         max per-shard pull slack {max_pull_slack} (bound: 1); \
-         4-shard sample query read {merged_blocks_4s} blocks",
-        QUERIES, SHARD_COUNTS
-    );
+    let repeat_differing = runs[0].iter().zip(&runs[1]).filter(|(a, b)| a != b).count();
+    report
+        .gate("queries_differing_from_unsharded", differing as f64, Op::Eq, 0.0, GateKind::Hard)
+        .gate("max_per_shard_pull_slack", max_pull_slack as f64, Op::Le, 1.0, GateKind::Hard)
+        .gate("repeat_run_shards_differing", repeat_differing as f64, Op::Eq, 0.0, GateKind::Hard)
+        .metric("sample_query_blocks_4s", "count", &[merged_blocks_4s as f64]);
 
     // --- Throughput (wall clock) -----------------------------------------
     let window = Duration::from_millis(400);
-    let mut qps = Vec::new();
+    let mut qps_1c = f64::NAN;
     for (n, cube) in &s.sets {
         // One warm pass so every shard count starts with warm pools.
         for q in &queries {
             let _ = cube.source().query(&q.plan()).expect("warm pass");
         }
         let v = measure_qps(cube, &queries, window, 1);
-        println!("shard: {n} shards -> {v:>10.0} queries/sec, 1 client");
-        qps.push((*n, v));
+        report.metric(&format!("qps.s{n}"), "1/s", &[v]);
+        if *n == 4 {
+            qps_1c = v;
+        }
     }
-    let qps_1c = qps.iter().find(|(n, _)| *n == 4).unwrap().1;
     let qps_4c = measure_qps(four, &queries, window, 4);
-    println!("shard: 4 shards -> {qps_4c:>10.0} queries/sec, 4 clients");
-    let scaling = qps_4c / qps_1c.max(f64::MIN_POSITIVE);
-    let enforce = !soft && hardware >= 4;
-    println!(
-        "shard: 4-client scaling {scaling:.2}x vs one client on 4 shards \
-         ({hardware} hardware threads, gate {})",
-        if enforce { "hard" } else { "soft" }
+    report.metric("qps_4s_4_clients", "1/s", &[qps_4c]).gate(
+        "scaling_4c_vs_1c",
+        qps_4c / qps_1c,
+        Op::Ge,
+        2.5,
+        GateKind::Clock { min_threads: 4 },
     );
-    if enforce {
-        assert!(
-            scaling >= 2.5,
-            "4 clients on the 4-shard set must reach >= 2.5x one client, got {scaling:.2}x"
-        );
-    } else if scaling < 2.5 {
-        eprintln!(
-            "WARNING: 4-client scaling {scaling:.2}x below the 2.5x target \
-             (soft: {hardware} hardware threads{})",
-            if soft { ", RCUBE_BENCH_SOFT" } else { "" }
-        );
-    }
-
-    // --- BENCH_shard.json -------------------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"shard\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str(&format!("  \"hardware_threads\": {hardware},\n"));
-    json.push_str(&format!(
-        "  \"tuples\": {TUPLES},\n  \"queries\": {QUERIES},\n  \"query_mix\": \"zipf(1.1)\",\n"
-    ));
-    json.push_str("  \"single_client_qps\": {\n");
-    for (i, (n, v)) in qps.iter().enumerate() {
-        let sep = if i + 1 == qps.len() { "" } else { "," };
-        json.push_str(&format!("    \"s{n}\": {v:.1}{sep}\n"));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"qps_4s_4_clients\": {qps_4c:.1},\n  \"scaling_4c_vs_1c\": {scaling:.2},\n  \
-         \"target_scaling_4c_min\": 2.5,\n  \"scaling_gate_enforced\": {enforce},\n"
-    ));
-    json.push_str(&format!(
-        "  \"counters\": {{ \"merged_identical_to_unsharded\": true, \
-         \"max_per_shard_pull_slack\": {max_pull_slack}, \
-         \"pull_slack_bound\": 1, \
-         \"per_shard_io_deterministic\": true, \
-         \"sample_query_blocks_4s\": {merged_blocks_4s} }}\n}}\n"
-    ));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");
-    std::fs::write(path, &json).expect("write BENCH_shard.json");
-    println!("wrote {path}");
-
     std::fs::remove_dir_all(&s.dir).ok();
+    report.write();
 }

@@ -4,15 +4,21 @@
 //! materialized intersection) on multi-dimensional predicates with no
 //! exact cuboid — the `C_sig` workload of Section 4.3.3.
 //!
-//! The run writes `BENCH_sigcube.json` at the workspace root next to
-//! `BENCH_idlist.json` / `BENCH_storage.json`: partial loads, bytes of
+//! The run writes `BENCH_sigcube.json` at the workspace root in the
+//! schema documented on [`rcube_bench::Report`]: partial loads, bytes of
 //! signature codings decoded, and wall time per mode, plus warm- and
-//! cold-pool numbers for a reopened file-backed cube. The deterministic
-//! gates are hard even on CI (counters don't jitter): the lazy pruner
-//! must perform strictly fewer `sig_loads` than eager assembly and decode
-//! at least 2× fewer bytes, with bit-identical top-k answers.
+//! cold-pool numbers for a reopened file-backed cube. Lazy and eager
+//! answers must be bit-identical (asserted). Gates:
+//!
+//! * `<sel>.sig_loads_lazy` < the eager assembly's loads, in memory and
+//!   (`<sel>.file_sig_loads_lazy`) reopened from file (`Hard`).
+//! * `bytes_decoded_reduction_lazy_vs_eager` ≥ 2, the worst case over the
+//!   workload (`Hard`).
+//! * `file_warm_penalty_vs_inmem_lazy` ≤ 3, a ratio of medians
+//!   (`Clock { min_threads: 1 }`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rcube_bench::{GateKind, Op, Report};
 use rcube_core::sigcube::{SignatureCube, SignatureCubeConfig};
 use rcube_core::sigquery::{topk_signature, topk_signature_assembled};
 use rcube_core::TopKQuery;
@@ -68,8 +74,8 @@ fn workload() -> Vec<(&'static str, Vec<(usize, u32)>)> {
 fn bench_sigcube(c: &mut Criterion) {
     let s = setup();
 
-    // --- Deterministic counters (run once, asserted hard) ---------------
-    let mut counter_lines = Vec::new();
+    // --- Deterministic counters (run once, gated hard) ------------------
+    let mut report = Report::new("sigcube");
     let mut worst_load_ratio = f64::INFINITY;
     let mut worst_byte_ratio = f64::INFINITY;
     for (label, conds) in workload() {
@@ -77,42 +83,43 @@ fn bench_sigcube(c: &mut Criterion) {
         let lazy = topk_signature(&s.rtree, &s.cube, &q, &s.disk);
         let eager = topk_signature_assembled(&s.rtree, &s.cube, &q, &s.disk);
         assert_eq!(lazy.items, eager.items, "{label}: lazy and eager answers diverged");
-        assert!(
-            lazy.stats.sig_loads < eager.stats.sig_loads,
-            "{label}: lazy sig_loads {} must be strictly fewer than eager {}",
-            lazy.stats.sig_loads,
-            eager.stats.sig_loads
-        );
         let load_ratio = eager.stats.sig_loads as f64 / lazy.stats.sig_loads.max(1) as f64;
         let byte_ratio =
             eager.stats.sig_bytes_decoded as f64 / lazy.stats.sig_bytes_decoded.max(1) as f64;
         worst_load_ratio = worst_load_ratio.min(load_ratio);
         worst_byte_ratio = worst_byte_ratio.min(byte_ratio);
-        println!(
-            "{label}: sig_loads lazy {} vs eager {} ({load_ratio:.2}x), bytes decoded lazy {} vs eager {} ({byte_ratio:.2}x)",
-            lazy.stats.sig_loads,
-            eager.stats.sig_loads,
-            lazy.stats.sig_bytes_decoded,
-            eager.stats.sig_bytes_decoded
+        report.gate(
+            &format!("{label}.sig_loads_lazy"),
+            lazy.stats.sig_loads as f64,
+            Op::Lt,
+            eager.stats.sig_loads as f64,
+            GateKind::Hard,
         );
-        counter_lines.push(format!(
-            "  \"counters_{label}\": {{ \"sig_loads_lazy\": {}, \"sig_loads_eager\": {}, \"bytes_decoded_lazy\": {}, \"bytes_decoded_eager\": {}, \"load_reduction\": {load_ratio:.2}, \"bytes_reduction\": {byte_ratio:.2} }}",
-            lazy.stats.sig_loads,
-            eager.stats.sig_loads,
-            lazy.stats.sig_bytes_decoded,
-            eager.stats.sig_bytes_decoded
-        ));
+        for (mode, stats) in [("lazy", &lazy.stats), ("eager", &eager.stats)] {
+            let bytes = stats.sig_bytes_decoded as f64;
+            report.metric(&format!("{label}.bytes_decoded_{mode}"), "B", &[bytes]);
+        }
         // The file-backed cube must show the same lazy-vs-eager profile.
         let flazy = topk_signature(&s.file_rtree, &s.file_cube, &q, &s.file_disk);
         let feager = topk_signature_assembled(&s.file_rtree, &s.file_cube, &q, &s.file_disk);
         assert_eq!(flazy.items, feager.items, "{label}: file-backed answers diverged");
         assert_eq!(flazy.items, lazy.items, "{label}: file-backed != in-memory answers");
-        assert!(flazy.stats.sig_loads < feager.stats.sig_loads, "{label}: file-backed laziness");
+        report.gate(
+            &format!("{label}.file_sig_loads_lazy"),
+            flazy.stats.sig_loads as f64,
+            Op::Lt,
+            feager.stats.sig_loads as f64,
+            GateKind::Hard,
+        );
     }
-    assert!(
-        worst_byte_ratio >= 2.0,
-        "lazy pruning must decode at least 2x fewer bytes (got {worst_byte_ratio:.2}x)"
+    report.gate(
+        "bytes_decoded_reduction_lazy_vs_eager",
+        worst_byte_ratio,
+        Op::Ge,
+        2.0,
+        GateKind::Hard,
     );
+    report.metric("sig_load_reduction_lazy_vs_eager", "ratio", &[worst_load_ratio]);
 
     // --- Wall time -------------------------------------------------------
     let mut g = c.benchmark_group("sigcube_query");
@@ -144,54 +151,20 @@ fn bench_sigcube(c: &mut Criterion) {
     }
     g.finish();
 
-    emit_json(c, &counter_lines, worst_load_ratio, worst_byte_ratio);
     std::fs::remove_file(&s.path).ok();
-}
 
-fn emit_json(c: &mut Criterion, counters: &[String], load_ratio: f64, byte_ratio: f64) {
-    let ms = c.measurements().to_vec();
-    let find = |id: &str| ms.iter().find(|m| m.id == id).map(|m| m.mean_ns);
-    let ratio = |num: &str, den: &str| match (find(num), find(den)) {
-        (Some(n), Some(d)) if d > 0.0 => n / d,
-        _ => 0.0,
+    let ms = c.measurements();
+    let median = |mode: &str| {
+        let id = format!("sigcube_query/{mode}/sel2");
+        ms.iter().find(|m| m.id == id).map_or(f64::NAN, |m| m.median_ns)
     };
-    let lazy_speedup = ratio("sigcube_query/inmem_eager/sel2", "sigcube_query/inmem_lazy/sel2");
-    let warm_penalty = ratio("sigcube_query/file_warm_lazy/sel2", "sigcube_query/inmem_lazy/sel2");
-
-    let mut json = String::from("{\n  \"bench\": \"sigcube\",\n  \"unit\": \"ns_per_iter\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str("  \"results\": {\n");
-    for (i, m) in ms.iter().enumerate() {
-        let sep = if i + 1 == ms.len() { "" } else { "," };
-        json.push_str(&format!("    \"{}\": {:.1}{}\n", m.id, m.mean_ns, sep));
-    }
-    json.push_str("  },\n");
-    for line in counters {
-        json.push_str(line);
-        json.push_str(",\n");
-    }
-    json.push_str(&format!(
-        "  \"sig_load_reduction_lazy_vs_eager\": {load_ratio:.2},\n  \"bytes_decoded_reduction_lazy_vs_eager\": {byte_ratio:.2},\n  \"inmem_lazy_speedup_vs_eager\": {lazy_speedup:.2},\n  \"file_warm_penalty_vs_inmem_lazy\": {warm_penalty:.2},\n  \"target_bytes_reduction_min\": 2.0\n}}\n"
-    ));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sigcube.json");
-    std::fs::write(path, &json).expect("write BENCH_sigcube.json");
-    println!("wrote {path}");
-    println!(
-        "sigcube: loads {load_ratio:.2}x fewer, bytes {byte_ratio:.2}x fewer, lazy {lazy_speedup:.2}x eager wall, warm file {warm_penalty:.2}x inmem"
-    );
-    // Wall-clock gate, soft on CI (RCUBE_BENCH_SOFT=1): warm file-backed
-    // lazy queries should stay within 3x of in-memory lazy ones.
-    if std::env::var_os("RCUBE_BENCH_SOFT").is_some() {
-        if warm_penalty > 3.0 {
-            eprintln!("WARNING: warm file penalty {warm_penalty:.2}x above the 3x target");
-        }
-    } else {
-        assert!(
-            warm_penalty <= 3.0,
-            "warm file-backed lazy queries must stay within 3x of in-memory, got {warm_penalty:.2}x"
-        );
-    }
+    let (lazy, warm) = (median("inmem_lazy"), median("file_warm_lazy"));
+    let clock = GateKind::Clock { min_threads: 1 };
+    report
+        .criterion(ms)
+        .gate("file_warm_penalty_vs_inmem_lazy", warm / lazy, Op::Le, 3.0, clock)
+        .metric("inmem_lazy_speedup_vs_eager", "ratio", &[median("inmem_eager") / lazy])
+        .write();
 }
 
 criterion_group!(benches, bench_sigcube);

@@ -2,13 +2,17 @@
 //! from (a) the in-memory simulator, (b) a reopened cube file with a warm
 //! buffer pool, and (c) the same file cache-cold.
 //!
-//! The run writes `BENCH_storage.json` at the workspace root, extending
-//! the perf trajectory started by `BENCH_idlist.json`. Headline numbers
-//! are the cold-open and warm-pool penalties relative to in-memory; the
-//! warm ratio is the one to keep near 1× — a warm pool serves the same
-//! `Arc<[u8]>` frames the in-memory store would.
+//! The run writes `BENCH_storage.json` at the workspace root in the
+//! schema documented on [`rcube_bench::Report`]. Headline numbers are the
+//! cold-open and warm-pool penalties relative to in-memory (ratios of
+//! medians); the warm ratio is the one to keep near 1× — a warm pool
+//! serves the same `Arc<[u8]>` frames the in-memory store would. One
+//! gate:
+//!
+//! * `warm_pool_penalty_vs_inmem` ≤ 3 (`Clock { min_threads: 1 }`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rcube_bench::{GateKind, Op};
 use rcube_core::gridcube::{GridCubeConfig, GridRankingCube};
 use rcube_core::TopKQuery;
 use rcube_func::Linear;
@@ -70,52 +74,24 @@ fn bench_backends(c: &mut Criterion) {
     }
     g.finish();
 
-    // Emit BENCH_storage.json from this group's measurements.
-    emit_json(c);
     std::fs::remove_file(&s.path).ok();
+    emit_json(c);
 }
 
 fn emit_json(c: &mut Criterion) {
-    let ms = c.measurements().to_vec();
-    let find = |id: &str| ms.iter().find(|m| m.id == id).map(|m| m.mean_ns);
-    let ratio = |num: &str, den: &str| match (find(num), find(den)) {
-        (Some(n), Some(d)) if d > 0.0 => n / d,
-        _ => 0.0,
+    let ms = c.measurements();
+    let median = |mode: &str| {
+        let id = format!("storage_query/{mode}/sel1");
+        ms.iter().find(|m| m.id == id).map_or(f64::NAN, |m| m.median_ns)
     };
-    let cold_penalty = ratio("storage_query/file_cold/sel1", "storage_query/inmem/sel1");
-    let warm_penalty = ratio("storage_query/file_warm/sel1", "storage_query/inmem/sel1");
-    let pool_speedup = ratio("storage_query/file_cold/sel1", "storage_query/file_warm/sel1");
-
-    let mut json = String::from("{\n  \"bench\": \"storage\",\n  \"unit\": \"ns_per_iter\",\n");
-    json.push_str(&rcube_bench::bench_env_json());
-    json.push_str("  \"results\": {\n");
-    for (i, m) in ms.iter().enumerate() {
-        let sep = if i + 1 == ms.len() { "" } else { "," };
-        json.push_str(&format!("    \"{}\": {:.1}{}\n", m.id, m.mean_ns, sep));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"cold_open_penalty_vs_inmem\": {cold_penalty:.2},\n  \"warm_pool_penalty_vs_inmem\": {warm_penalty:.2},\n  \"buffer_pool_speedup_cold_to_warm\": {pool_speedup:.2},\n  \"target_warm_penalty_max\": 3.0\n}}\n"
-    ));
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_storage.json");
-    std::fs::write(path, &json).expect("write BENCH_storage.json");
-    println!("wrote {path}");
-    println!(
-        "storage: cold {cold_penalty:.2}x inmem, warm {warm_penalty:.2}x inmem, pool speedup {pool_speedup:.2}x"
-    );
-    // Wall-clock gate, soft on CI (RCUBE_BENCH_SOFT=1): a warm buffer
-    // pool must keep file-backed serving within 3x of in-memory.
-    if std::env::var_os("RCUBE_BENCH_SOFT").is_some() {
-        if warm_penalty > 3.0 {
-            eprintln!("WARNING: warm-pool penalty {warm_penalty:.2}x above the 3x target");
-        }
-    } else {
-        assert!(
-            warm_penalty <= 3.0,
-            "warm file-backed queries must stay within 3x of in-memory, got {warm_penalty:.2}x"
-        );
-    }
+    let (inmem, warm, cold) = (median("inmem"), median("file_warm"), median("file_cold"));
+    let clock = GateKind::Clock { min_threads: 1 };
+    rcube_bench::Report::new("storage")
+        .criterion(ms)
+        .gate("warm_pool_penalty_vs_inmem", warm / inmem, Op::Le, 3.0, clock)
+        .metric("cold_open_penalty_vs_inmem", "ratio", &[cold / inmem])
+        .metric("buffer_pool_speedup_cold_to_warm", "ratio", &[cold / warm])
+        .write();
 }
 
 criterion_group!(benches, bench_backends);

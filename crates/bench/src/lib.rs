@@ -1,5 +1,6 @@
 //! Experiment harness regenerating every table and figure of the thesis'
-//! evaluation chapters (see DESIGN.md §3 for the full index).
+//! evaluation chapters, plus [`Report`], the writer behind every
+//! `BENCH_*.json` the benches emit.
 //!
 //! Each `repro_chN` binary accepts figure ids (`fig3_4`, `table5_1`, …) or
 //! `all`; it prints one series table per figure in the same shape as the
@@ -10,6 +11,9 @@
 //! crossovers fall.
 
 use std::time::Instant;
+
+mod report;
+pub use report::{GateKind, Op, Report};
 
 use rcube_storage::IoSnapshot;
 use rcube_table::gen::{DataDist, SyntheticSpec};
@@ -40,8 +44,7 @@ pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// wall-clock latency, so reported times combine measured CPU with a
 /// per-operation I/O charge. The charges (0.1 ms per physical page read,
 /// 0.2 ms per random tuple access) approximate the sequential/random cost
-/// ratio of the thesis' 2007-era disk subsystem; EXPERIMENTS.md records
-/// this substitution.
+/// ratio of the thesis' 2007-era disk subsystem.
 pub const READ_MS: f64 = 0.1;
 /// Per random access charge (non-clustered row fetch).
 pub const RANDOM_MS: f64 = 0.2;
@@ -49,20 +52,6 @@ pub const RANDOM_MS: f64 = 0.2;
 /// Total modeled milliseconds for a run: CPU + charged I/O.
 pub fn cost_ms(cpu_ms: f64, io: IoSnapshot) -> f64 {
     cpu_ms + io.disk_reads as f64 * READ_MS + io.random_accesses as f64 * RANDOM_MS
-}
-
-/// The `"bench_env"` JSON block every `BENCH_*.json` emitter embeds
-/// (hardware threads, simulated page size, build profile), so archived
-/// artifacts from different machines and build modes stay comparable.
-/// Splice it right after the opening `"bench"` line; it ends with `,\n`.
-pub fn bench_env_json() -> String {
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
-    format!(
-        "  \"bench_env\": {{ \"hardware_threads\": {threads}, \"page_size_bytes\": {}, \
-         \"build_profile\": \"{profile}\" }},\n",
-        rcube_storage::DEFAULT_PAGE_SIZE
-    )
 }
 
 /// A measurement series: named method → one value per x point.
@@ -194,16 +183,6 @@ mod tests {
         let (v, ms) = time_ms(|| 42);
         assert_eq!(v, 42);
         assert!(ms >= 0.0);
-    }
-
-    #[test]
-    fn bench_env_block_is_well_formed() {
-        let block = bench_env_json();
-        assert!(block.starts_with("  \"bench_env\": {"));
-        assert!(block.ends_with(",\n"));
-        assert!(block.contains("\"hardware_threads\":"));
-        assert!(block.contains("\"page_size_bytes\": 4096"));
-        assert!(block.contains("\"build_profile\":"));
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //!
 //! Each stored node is prefixed with its SID (Section 4.2.1), making
 //! partials self-describing — a small space overhead relative to the
-//! thesis' BFS-implicit addressing, recorded in EXPERIMENTS.md.
+//! thesis' BFS-implicit addressing.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;

@@ -49,8 +49,8 @@ pub struct SyntheticSpec {
 
 impl Default for SyntheticSpec {
     /// Table 3.8 defaults scaled to laptop size: `S=3, R=2, C=20`,
-    /// uniform distribution. `T` defaults to 30 000 (the paper's 3M divided
-    /// by the global ×100 scale factor noted in EXPERIMENTS.md).
+    /// uniform distribution. `T` defaults to 30 000, the paper's 3M divided
+    /// by 100.
     fn default() -> Self {
         Self {
             tuples: 30_000,

@@ -9,8 +9,9 @@
 //! The [`gen`] module reproduces the synthetic data sets of Tables 3.8/4.4
 //! (uniform / correlated / anti-correlated distributions, parameterised by
 //! `T`, `C`, `S`, `R`) and a statistical surrogate of the UCI Forest
-//! CoverType set used as "real data" (see DESIGN.md §1.1 for the
-//! substitution rationale). The [`workload`] module generates the random
+//! CoverType set used as "real data" (the real file is not available
+//! offline; the surrogate keeps the cardinality mix and value skew the
+//! experiments depend on). The [`workload`] module generates the random
 //! query batches of Table 3.9.
 
 pub mod gen;
